@@ -47,7 +47,6 @@ from .census import Census, census, expected_counts, stable_degree_table, stable
 from .analysis import (
     MomentValue,
     SeriesValue,
-    asymptotic_ratio,
     asymptotic_sweep,
     classical_L,
     classical_L_direct,
@@ -86,7 +85,6 @@ __all__ = [
     "SeriesValue",
     "TilingSummary",
     "Triangle",
-    "asymptotic_ratio",
     "asymptotic_sweep",
     "brocot_level",
     "census",

@@ -9,6 +9,7 @@ same way wherever it runs.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -16,8 +17,11 @@ R = TypeVar("R")
 
 
 def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], jobs: int = 1) -> List[R]:
+    """[fn(t) for t in tasks] on up to `jobs` processes, never more than
+    there are tasks or CPUs."""
     tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
     try:
         from multiprocessing import get_context
@@ -25,5 +29,5 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], jobs: int = 1) -> List[R
         ctx = get_context("fork")
     except (ImportError, ValueError):
         return [fn(t) for t in tasks]
-    with ctx.Pool(min(jobs, len(tasks))) as pool:
+    with ctx.Pool(workers) as pool:
         return pool.map(fn, tasks)

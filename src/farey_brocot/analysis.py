@@ -14,6 +14,7 @@ tail bound: the true value lies in [value, value + tail_bound].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
@@ -21,8 +22,8 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import stable_degree_table
-from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
-from .tiling import LevelCounts, face_count, level_q_counts, split_q_states
+from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_intervals
+from .tiling import LevelCounts, descend, face_count, level_q_counts, split_q_states
 from ._jobs import run_tasks
 
 Beta = Union[int, float, Fraction]
@@ -176,9 +177,8 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     """
     if algo == ALGO_CLASSICAL:
         return classical_moment(n, beta, exact=exact)
-    _check_moment_args(algo, n, beta)
+    use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
-    use_exact = _resolve_exact(algo, n, b, exact)
     if use_exact:
         levels = level_q_counts(algo, n)
         for level in levels:
@@ -201,7 +201,11 @@ def _check_moment_args(algo: str, n: int, beta: Beta) -> None:
         raise DomainError("moment order must be >= 1")
 
 
-def _resolve_exact(algo: str, n: int, b: Fraction, exact: Optional[bool]) -> bool:
+def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> bool:
+    """Whether ``moment(algo, n, beta, exact)`` runs in exact rational
+    arithmetic; raises what the moment itself would for a bad request."""
+    _check_moment_args(algo, n, beta)
+    b = _as_beta(beta)
     integral = b.denominator == 1
     faces = face_count(algo, n) if algo != ALGO_CLASSICAL else 2**n
     affordable = integral and (faces <= EXACT_FACE_CAP or b == 1)
@@ -220,34 +224,33 @@ def _resolve_exact(algo: str, n: int, b: Fraction, exact: Optional[bool]) -> boo
 # --- classical (1-d) moments ------------------------------------------------
 
 
+def _classical_walk(n: int):
+    # (endpoint denominators, depth) of every interval down to depth n
+    return descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
+
+
 def _classical_exact_unit(n: int) -> Fraction:
     # Subtree sums collapse at every node, keeping intermediates tiny.
-    def rec(q: int, r: int, depth: int) -> Tuple[int, int]:
+    def rec(qr: Tuple[int, int], depth: int) -> Tuple[int, int]:
         if depth == 0:
-            return 1, q * r
-        s = q + r
-        n1, d1 = rec(q, s, depth - 1)
-        n2, d2 = rec(s, r, depth - 1)
+            return 1, qr[0] * qr[1]
+        left, right = child_intervals(*qr, operator.add)
+        n1, d1 = rec(left, depth - 1)
+        n2, d2 = rec(right, depth - 1)
         num = n1 * d2 + n2 * d1
         den = d1 * d2
         g = math.gcd(num, den)
         return num // g, den // g
 
-    num, den = rec(1, 1, n)
+    num, den = rec((1, 1), n)
     return Fraction(num, den)
 
 
 def _classical_exact_moment(n: int, beta: int) -> Fraction:
     total = Fraction(0)
-    stack = [(1, 1, 0)]
-    while stack:
-        q, r, d = stack.pop()
+    for (q, r), d in _classical_walk(n):
         if d == n:
             total += Fraction(1, (q * r) ** beta)
-            continue
-        s = q + r
-        stack.append((q, s, d + 1))
-        stack.append((s, r, d + 1))
     return total
 
 
@@ -257,28 +260,23 @@ def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     bf = float(_as_beta(beta))
     sums = [0.0] * (n + 1)
     comps = [0.0] * (n + 1)
-    stack = [(1, 1, 0)]
-    while stack:
-        q, r, d = stack.pop()
+    # Kahan step per depth.  Each level's products q*r read the same from
+    # both ends (the Stern-Brocot mirror symmetry), so the sums are
+    # reproducible bit for bit and would be the same walked either way.
+    for (q, r), d in _classical_walk(n):
         x = q * r
         term = float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x)
-        # Kahan step; the fixed traversal order makes the sum reproducible.
         y = term - comps[d]
         t = sums[d] + y
         comps[d] = (t - sums[d]) - y
         sums[d] = t
-        if d < n:
-            s = q + r
-            stack.append((q, s, d + 1))
-            stack.append((s, r, d + 1))
     return sums
 
 
 def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> MomentValue:
     """Moment of order beta of the classical depth-n interval partition."""
-    _check_moment_args(ALGO_CLASSICAL, n, beta)
+    use_exact = exact_mode(ALGO_CLASSICAL, n, beta, exact)
     b = _as_beta(beta)
-    use_exact = _resolve_exact(ALGO_CLASSICAL, n, b, exact)
     if use_exact:
         value = _classical_exact_unit(n) if b == 1 else _classical_exact_moment(n, int(b))
         return MomentValue(ALGO_CLASSICAL, n, b, value, True)
@@ -407,12 +405,6 @@ def main_term(algo: str, n: int, beta: Beta, series_value: float) -> float:
     if algo == ALGO_CLASSICAL:
         return series_value / float(n) ** bf
     raise InvalidInputError(f"unknown algorithm {algo!r}")
-
-
-def asymptotic_ratio(algo: str, n: int, beta: Beta, jobs: int = 1) -> AsymptoticRow:
-    """Measured moment over its predicted main term."""
-    rows = asymptotic_sweep(algo, beta, n, n, jobs=jobs)
-    return rows[0]
 
 
 def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1) -> List[AsymptoticRow]:

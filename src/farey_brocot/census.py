@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .core import CapacityError, InvalidInputError, LatticeVector, Vec
-from .subdivision import ALGO_A, ALGO_B
-from .tiling import RawBasis, _children, _roots, iter_bases_at
+from .subdivision import ALGO_A, ALGO_B, child_rule, initial_vectors, min_new_denominator
+from .tiling import RawBasis, descend, face_count, iter_bases_at
 from ._jobs import run_tasks
 
 CENSUS_DEPTH_CAP = {ALGO_A: 8, ALGO_B: 20}
@@ -59,10 +59,8 @@ def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Set[Vec], Set[Tuple[Ve
     algo, root, levels = args
     verts: Set[Vec] = set()
     edges: Set[Tuple[Vec, Vec]] = set()
-    kids = _children(algo)
-    stack: List[Tuple[RawBasis, int]] = [(root, 0)]
-    while stack:
-        basis, d = stack.pop()
+    kids = child_rule(algo)
+    for basis, d in descend((root,), lambda b, d: kids(*b) if d < levels else ()):
         if d == levels:
             g1, g2, g3 = basis
             verts.add(g1)
@@ -71,9 +69,6 @@ def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Set[Vec], Set[Tuple[Ve
             edges.add((g1, g2) if g1 < g2 else (g2, g1))
             edges.add((g1, g3) if g1 < g3 else (g3, g1))
             edges.add((g2, g3) if g2 < g3 else (g3, g2))
-            continue
-        for ch in kids(*basis):
-            stack.append((ch, d + 1))
     return verts, edges
 
 
@@ -90,9 +85,7 @@ def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Tuple[Vec,
     return verts, edges
 
 
-def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
-    """Vertex degree map of the depth-n graph."""
-    _, edges = graph_at(algo, n, jobs=jobs)
+def _degree_counts(edges: Set[Tuple[Vec, Vec]]) -> Dict[Vec, int]:
     deg: Counter = Counter()
     for u, v in edges:
         deg[u] += 1
@@ -100,17 +93,18 @@ def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     return dict(deg)
 
 
+def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
+    """Vertex degree map of the depth-n graph.  Every vertex lies on an
+    edge, so the keys are exactly the graph's vertices."""
+    _, edges = graph_at(algo, n, jobs=jobs)
+    return _degree_counts(edges)
+
+
 def census(algo: str, n: int, jobs: int = 1) -> Census:
     """Measured face, edge, and vertex counts plus the degree histogram."""
-    _check_capacity(algo, n)
     verts, edges = graph_at(algo, n, jobs=jobs)
-    deg: Counter = Counter()
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    hist = Counter(deg.values())
-    faces = 2 * (6 if algo == ALGO_A else 2) ** n
-    return Census(algo, n, faces, len(edges), len(verts), dict(sorted(hist.items())))
+    hist = Counter(_degree_counts(edges).values())
+    return Census(algo, n, face_count(algo, n), len(edges), len(verts), dict(sorted(hist.items())))
 
 
 def expected_counts(algo: str, n: int) -> Tuple[int, int, int]:
@@ -137,29 +131,38 @@ def expected_degree_histogram_a(n: int) -> Dict[int, int]:
     return {d: c for d, c in hist.items() if c}
 
 
-def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
-    """Degrees that already equal their value in the infinite graph.
+def split_degrees(
+    algo: str, deg: Dict[Vec, int], older: Dict[Vec, int]
+) -> Tuple[Dict[LatticeVector, int], Dict[LatticeVector, int]]:
+    """(stable, frontier) degrees at depth n from the degree maps at
+    depths n and n-1 (empty below depth 0).
 
-    For algorithm A that is every vertex of the depth-n graph; for
-    algorithm B the frontier (vertices new at depth n) is excluded
-    because its degrees are still transient.
+    The frontier is the vertices new at depth n.  For algorithm A every
+    vertex is stable; for algorithm B the frontier is excluded because
+    its degrees are still transient.
     """
+    stable: Dict[LatticeVector, int] = {}
+    frontier: Dict[LatticeVector, int] = {}
+    for v, d in sorted(deg.items()):
+        if v not in older:
+            frontier[LatticeVector(*v)] = d
+        if algo == ALGO_A or v in older:
+            stable[LatticeVector(*v)] = d
+    return stable, frontier
+
+
+def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
+    """Degrees that already equal their value in the infinite graph."""
     if n < 1:
         raise InvalidInputError("stable degrees need depth >= 1")
-    deg = degrees_at(algo, n, jobs=jobs)
-    if algo == ALGO_A:
-        return {LatticeVector(*v): d for v, d in sorted(deg.items())}
-    older, _ = graph_at(algo, n - 1, jobs=jobs)
-    return {LatticeVector(*v): d for v, d in sorted(deg.items()) if v in older}
+    older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
+    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
 
 
 def frontier_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
     """Degrees of the vertices that first appear at depth n."""
-    deg = degrees_at(algo, n, jobs=jobs)
-    older: Set[Vec] = set()
-    if n >= 1:
-        older, _ = graph_at(algo, n - 1, jobs=jobs)
-    return {LatticeVector(*v): d for v, d in sorted(deg.items()) if v not in older}
+    older = degrees_at(algo, n - 1, jobs=jobs) if n >= 1 else {}
+    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[1]
 
 
 # --- creation-type degree grading ------------------------------------------
@@ -192,31 +195,26 @@ def stable_degree_table(algo: str, qmax: int) -> Dict[LatticeVector, int]:
     """
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
-    is_a = algo == ALGO_A
     deg: Dict[Vec, int] = dict(_INITIAL_DEGREES[algo])
-    kids = _children(algo)
-    stack: List[RawBasis] = list(_roots(algo))
-    while stack:
-        basis = stack.pop()
+    kids = child_rule(algo)
+
+    def expand(basis: RawBasis, _depth: int):
+        children = kids(*basis)
         g1, g2, g3 = basis
-        if is_a:
-            qs = sorted((g1[0], g2[0], g3[0]))
-            if qs[0] + qs[1] > qmax:
-                continue
-            m12 = (g1[0] + g2[0], g1[1] + g2[1], g1[2] + g2[2])
-            m13 = (g1[0] + g3[0], g1[1] + g3[1], g1[2] + g3[2])
-            m23 = (g2[0] + g3[0], g2[1] + g3[1], g2[2] + g3[2])
-            ctr = (m12[0] + g3[0], m12[1] + g3[1], m12[2] + g3[2])
-            for m, u, v in ((m12, g1, g2), (m13, g1, g3), (m23, g2, g3)):
-                if m[0] <= qmax and m not in deg:
-                    deg[m] = 5 if _on_same_side(u, v) else 8
+        if algo == ALGO_A:
+            (_, m12, m13), (_, _, m23), _, (_, _, ctr) = children[:4]
             if ctr[0] <= qmax and ctr not in deg:
                 deg[ctr] = 3
+            mediants = ((m12, g1, g2), (m13, g1, g3), (m23, g2, g3))
         else:
-            if g2[0] + g3[0] > qmax:
-                continue
-            m = (g2[0] + g3[0], g2[1] + g3[1], g2[2] + g3[2])
+            mediants = ((children[0][0], g2, g3),)
+        for m, u, v in mediants:
             if m[0] <= qmax and m not in deg:
-                deg[m] = 5 if _on_same_side(g2, g3) else 8
-        stack.extend(kids(*basis))
+                deg[m] = 5 if _on_same_side(u, v) else 8
+        # a child below the cutoff creates nothing, so it is not walked
+        return [ch for ch in children if min_new_denominator(algo, ch) <= qmax]
+
+    roots = [r for r in initial_vectors(algo) if min_new_denominator(algo, r) <= qmax]
+    for _ in descend(roots, expand):
+        pass
     return {LatticeVector(*v): d for v, d in sorted(deg.items()) if v[0] <= qmax}

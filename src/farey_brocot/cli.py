@@ -201,14 +201,18 @@ def _do_verify(args) -> Tuple[Dict, Dict, Dict]:
 
 def _do_classical(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
-    m = analysis.classical_moment(args.depth, beta, exact=True if args.exact else None)
-    result: Dict = {
-        "sigma": _frac_str(m.value) if m.exact else m.value,
-        "exact": m.exact,
-    }
-    prov: Dict = {"arithmetic": "exact" if m.exact else "compensated-float"}
+    exact = analysis.exact_mode(ALGO_CLASSICAL, args.depth, beta, True if args.exact else None)
+    row = None
     if args.depth >= 2 and beta > 1:
         row = analysis.asymptotic_sweep(ALGO_CLASSICAL, beta, args.depth, args.depth)[0]
+    if exact or row is None:
+        sigma = analysis.classical_moment(args.depth, beta, exact=exact).value
+    else:
+        # the float moment is the same entry of the sweep behind the row
+        sigma = row.sigma
+    result: Dict = {"sigma": _frac_str(sigma) if exact else sigma, "exact": exact}
+    prov: Dict = {"arithmetic": "exact" if exact else "compensated-float"}
+    if row is not None:
         result.update(main_term=row.main_term, ratio=row.ratio, L_value=row.L_value)
         prov["L_tail_bound"] = row.L_tail_bound
     params = {"depth": args.depth, "beta": _frac_str(beta), "exact": bool(args.exact)}
@@ -377,6 +381,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise InvalidInputError(f"--jobs must be >= 1, got {args.jobs}")
         result, params, provenance = args.handler(args)
     except InvalidInputError as exc:
         return _fail_out(args, "invalid-input", exc, 2)

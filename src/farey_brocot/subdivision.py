@@ -11,7 +11,7 @@ unit interval.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .core import (
     Basis,
@@ -38,15 +38,18 @@ INITIAL_VECTORS_B: Tuple[Tuple[Vec, Vec, Vec], ...] = (
 )
 
 
+def initial_vectors(algo: str) -> Tuple[Tuple[Vec, Vec, Vec], ...]:
+    """The two raw depth-0 bases covering the unit square."""
+    if algo == ALGO_A:
+        return INITIAL_VECTORS_A
+    if algo == ALGO_B:
+        return INITIAL_VECTORS_B
+    raise InvalidInputError(f"unknown 2-d algorithm {algo!r}")
+
+
 def initial_bases(algo: str) -> Tuple[Basis, Basis]:
     """The two depth-0 bases covering the unit square."""
-    if algo == ALGO_A:
-        raw = INITIAL_VECTORS_A
-    elif algo == ALGO_B:
-        raw = INITIAL_VECTORS_B
-    else:
-        raise InvalidInputError(f"no 2-d initial bases for algo {algo!r}")
-    return tuple(basis_of(vs, depth=0, algo=algo) for vs in raw)
+    return tuple(basis_of(vs, depth=0, algo=algo) for vs in initial_vectors(algo))
 
 
 def initial_a() -> Tuple[Basis, Basis]:
@@ -57,13 +60,21 @@ def initial_b() -> Tuple[Basis, Basis]:
     return initial_bases(ALGO_B)
 
 
-def child_vectors_a(g1: Vec, g2: Vec, g3: Vec) -> Tuple[Tuple[Vec, Vec, Vec], ...]:
-    """Raw six-way rule; no validation.  Rules 1-3 keep one parent
-    vertex (placed first), rules 4-6 keep none and share the center."""
-    m12 = vec_add(g1, g2)
-    m13 = vec_add(g1, g3)
-    m23 = vec_add(g2, g3)
-    ctr = vec_add(m12, g3)
+# --- the rules ---------------------------------------------------------------
+#
+# Each rule is stated once, below.  All three are linear in the parent's
+# vertices, so the same function steps lattice vectors (the default
+# `add`), bare denominators (``operator.add``) or any other additive
+# reading of a vertex.
+
+
+def child_vectors_a(g1, g2, g3, add: Callable = vec_add) -> Tuple[Tuple, ...]:
+    """Six-way rule; no validation.  Rules 1-3 keep one parent vertex
+    (placed first), rules 4-6 keep none and share the center."""
+    m12 = add(g1, g2)
+    m13 = add(g1, g3)
+    m23 = add(g2, g3)
+    ctr = add(m12, g3)
     return (
         (g1, m12, m13),
         (g2, m12, m23),
@@ -74,33 +85,62 @@ def child_vectors_a(g1: Vec, g2: Vec, g3: Vec) -> Tuple[Tuple[Vec, Vec, Vec], ..
     )
 
 
-def child_vectors_b(g1: Vec, g2: Vec, g3: Vec) -> Tuple[Tuple[Vec, Vec, Vec], Tuple[Vec, Vec, Vec]]:
-    """Raw two-way rule: (operation "1" child, operation "0" child)."""
-    m = vec_add(g2, g3)
+def child_vectors_b(g1, g2, g3, add: Callable = vec_add) -> Tuple[Tuple, Tuple]:
+    """Two-way rule: (operation "1" child, operation "0" child)."""
+    m = add(g2, g3)
     return (m, g1, g2), (m, g1, g3)
 
 
-def subdivide_a(parent: Basis) -> Tuple[Basis, ...]:
-    """Six unimodular children whose triangles tile the parent triangle."""
+def _pair_add(u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
+    return u[0] + v[0], u[1] + v[1]
+
+
+def child_intervals(u, v, add: Callable = _pair_add) -> Tuple[Tuple, Tuple]:
+    """Classical rule: the interval [u, v] splits at the mediant u (+) v
+    into (left, right).  Endpoints are (numerator, denominator) pairs by
+    default."""
+    m = add(u, v)
+    return (u, m), (m, v)
+
+
+def child_rule(algo: str) -> Callable:
+    """The child function of a 2-d rule."""
+    if algo == ALGO_A:
+        return child_vectors_a
+    if algo == ALGO_B:
+        return child_vectors_b
+    raise InvalidInputError(f"unknown 2-d algorithm {algo!r}")
+
+
+def min_new_denominator(algo: str, basis: Tuple[Vec, Vec, Vec]) -> int:
+    """Smallest denominator any descendant of `basis` can add: the sum of
+    the two smallest current denominators for algorithm A, q(g2) + q(g3)
+    for algorithm B.  It never decreases down the tree, so a descent
+    pruned on it still reaches every vector below the cutoff."""
+    (qa, _, _), (qb, _, _), (qc, _, _) = basis
+    if algo == ALGO_A:
+        return qa + qb + qc - max(qa, qb, qc)
+    return qb + qc
+
+
+def _subdivide(parent: Basis, algo: str) -> Tuple[Basis, ...]:
     if not parent.is_unimodular():
         raise InvariantViolationError(f"parent basis has det {parent.det()}, not +-1")
     d = parent.depth + 1
     return tuple(
-        Basis(tuple(LatticeVector(*v) for v in ch), d, ALGO_A)
-        for ch in child_vectors_a(*parent.vectors)
+        Basis(tuple(LatticeVector(*v) for v in ch), d, algo)
+        for ch in child_rule(algo)(*parent.vectors)
     )
+
+
+def subdivide_a(parent: Basis) -> Tuple[Basis, ...]:
+    """Six unimodular children whose triangles tile the parent triangle."""
+    return _subdivide(parent, ALGO_A)
 
 
 def subdivide_b(parent: Basis) -> Tuple[Basis, Basis]:
     """Ordered pair (child of operation "1", child of operation "0")."""
-    if not parent.is_unimodular():
-        raise InvariantViolationError(f"parent basis has det {parent.det()}, not +-1")
-    d = parent.depth + 1
-    c1, c0 = child_vectors_b(*parent.vectors)
-    return (
-        Basis(tuple(LatticeVector(*v) for v in c1), d, ALGO_B),
-        Basis(tuple(LatticeVector(*v) for v in c0), d, ALGO_B),
-    )
+    return _subdivide(parent, ALGO_B)
 
 
 def step_1d(level: Sequence[Fraction]) -> List[Fraction]:
@@ -113,7 +153,8 @@ def step_1d(level: Sequence[Fraction]) -> List[Fraction]:
         raise InvalidInputError("level must be strictly ascending")
     out = [fracs[0]]
     for a, b in zip(fracs, fracs[1:]):
-        out.append(Fraction(a.numerator + b.numerator, a.denominator + b.denominator))
+        (_, m), _ = child_intervals((a.numerator, a.denominator), (b.numerator, b.denominator))
+        out.append(Fraction(*m))
         out.append(b)
     return out
 
@@ -139,17 +180,24 @@ def brocot_level(n: int) -> List[Fraction]:
 EMPTY_CODE: Tuple[int, ...] = ()
 
 
-def extend_code_a(code: Tuple[int, ...], rule: int, last_corner: bool) -> Tuple[Tuple[int, ...], bool]:
-    """Advance a run-length code by one subdivision step.
+def streak_step_a(rule: int, last_corner: bool) -> Tuple[bool, bool]:
+    """(whether the step extends the open streak, whether the child keeps
+    a parent vertex) for one subdivision step by `rule`.
 
     `rule` indexes the six children (0-based).  Rule 0 keeps the vertex
     kept by the previous step, so it extends the current streak when one
     is open; rules 1-2 start a streak at a different vertex; rules 3-5
     keep no vertex at all.
     """
-    if rule == 0 and last_corner:
-        return code[:-1] + (code[-1] + 1,), True
-    return code + (1,), rule <= 2
+    return rule == 0 and last_corner, rule <= 2
+
+
+def extend_code_a(code: Tuple[int, ...], rule: int, last_corner: bool) -> Tuple[Tuple[int, ...], bool]:
+    """Advance a run-length code by one subdivision step."""
+    extends, corner = streak_step_a(rule, last_corner)
+    if extends:
+        return code[:-1] + (code[-1] + 1,), corner
+    return code + (1,), corner
 
 
 def code_a_from_chain(chain: Sequence[Triangle]) -> Tuple[int, ...]:
@@ -194,7 +242,3 @@ def _validate_chain_a(chain: Sequence[Triangle]) -> None:
                 f"broken chain: {child.vertices} is not a child of {parent.vertices}"
             )
 
-
-def code_weight(code: Sequence[int]) -> int:
-    """Number of operations "1" in an algorithm-B code."""
-    return sum(code)

@@ -11,9 +11,11 @@ what makes desk-scale moment sweeps affordable in exact arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
     Basis,
@@ -27,27 +29,40 @@ from .core import (
 )
 from .subdivision import (
     ALGO_A,
-    ALGO_B,
-    INITIAL_VECTORS_A,
-    INITIAL_VECTORS_B,
+    child_intervals,
+    child_rule,
     child_vectors_a,
-    child_vectors_b,
     extend_code_a,
+    initial_vectors,
+    min_new_denominator,
+    streak_step_a,
 )
 
 RawBasis = Tuple[Vec, Vec, Vec]
+Node = TypeVar("Node")
 
 
-def _roots(algo: str) -> Tuple[RawBasis, ...]:
-    if algo == ALGO_A:
-        return INITIAL_VECTORS_A
-    if algo == ALGO_B:
-        return INITIAL_VECTORS_B
-    raise InvalidInputError(f"unknown 2-d algorithm {algo!r}")
+def descend(roots: Sequence[Node], expand: Callable[[Node, int], Sequence[Node]]) -> Iterator[Tuple[Node, int]]:
+    """Depth-first pre-order walk yielding (node, depth), children left
+    to right.
 
-
-def _children(algo: str) -> Callable[[Vec, Vec, Vec], Tuple[RawBasis, ...]]:
-    return child_vectors_a if algo == ALGO_A else child_vectors_b
+    ``expand(node, depth)`` is called once per node, after the node is
+    yielded, and returns the children to walk or an empty tuple to stop.
+    Every enumeration whose order can show in a result goes through
+    here, so this one routine fixes the canonical order that SVG bytes,
+    compensated sums and parallel task lists depend on.
+    """
+    stack = [(iter(roots), 0)]
+    while stack:
+        it, d = stack[-1]
+        for node in it:
+            yield node, d
+            kids = expand(node, d)
+            if kids:
+                stack.append((iter(kids), d + 1))
+                break
+        else:
+            stack.pop()
 
 
 def branching(algo: str) -> int:
@@ -63,15 +78,15 @@ def iter_bases_at(algo: str, n: int) -> Iterator[RawBasis]:
     """Depth-first stream of the raw bases at exactly depth n."""
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
-    kids = _children(algo)
-    stack: List[Tuple[RawBasis, int]] = [(r, 0) for r in reversed(_roots(algo))]
-    while stack:
-        basis, d = stack.pop()
+    kids = child_rule(algo)
+    for basis, d in descend(initial_vectors(algo), lambda b, d: kids(*b) if d < n else ()):
         if d == n:
             yield basis
-            continue
-        for ch in reversed(kids(*basis)):
-            stack.append((ch, d + 1))
+
+
+def _extend_code_b(code: Tuple[int, ...], rule: int, _last_corner: bool) -> Tuple[Tuple[int, ...], bool]:
+    # child index 0 is operation "1", index 1 is operation "0"
+    return code + (1 - rule,), False
 
 
 def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
@@ -82,25 +97,20 @@ def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
     """
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
-    kids = _children(algo)
-    is_a = algo == ALGO_A
-    # stack entries: (basis, depth, code, last_corner flag)
-    stack: List[Tuple[RawBasis, int, Tuple, bool]] = [
-        (r, 0, (), False) for r in reversed(_roots(algo))
-    ]
-    while stack:
-        basis, d, code, lc = stack.pop()
+    kids = child_rule(algo)
+    extend = extend_code_a if algo == ALGO_A else _extend_code_b
+
+    # nodes: (basis, code, last_corner flag)
+    def expand(node, d):
+        if d == n:
+            return ()
+        basis, code, lc = node
+        return [(ch, *extend(code, rule, lc)) for rule, ch in enumerate(kids(*basis))]
+
+    roots = [(r, (), False) for r in initial_vectors(algo)]
+    for (basis, code, _), d in descend(roots, expand):
         if d == n:
             yield Triangle(tuple(LatticeVector(*v) for v in basis), d, algo, code)
-            continue
-        children = kids(*basis)
-        for rule in range(len(children) - 1, -1, -1):
-            if is_a:
-                ncode, nlc = extend_code_a(code, rule, lc)
-            else:
-                # child index 0 is operation "1", index 1 is operation "0"
-                ncode, nlc = code + (1 - rule,), False
-            stack.append((children[rule], d + 1, ncode, nlc))
 
 
 def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
@@ -108,15 +118,9 @@ def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
     right, as (endpoint, endpoint) pairs."""
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
-    stack: List[Tuple[int, int, int, int, int]] = [(0, 1, 1, 1, 0)]
-    while stack:
-        p, q, r, s, d = stack.pop()
+    for (u, v), d in descend((((0, 1), (1, 1)),), lambda iv, d: child_intervals(*iv) if d < n else ()):
         if d == n:
-            yield Fraction(p, q), Fraction(r, s)
-            continue
-        mp, mq = p + r, q + s
-        stack.append((mp, mq, r, s, d + 1))
-        stack.append((p, q, mp, mq, d + 1))
+            yield Fraction(*u), Fraction(*v)
 
 
 @dataclass(frozen=True)
@@ -200,27 +204,18 @@ def locate(algo: str, theta: Point, n: int) -> DescentChain:
     den = math.lcm(t1.denominator, t2.denominator)
     target: Vec = (den, int(t1 * den), int(t2 * den))
 
-    kids = _children(algo)
+    kids = child_rule(algo)
     steps: List[DescentStep] = []
-    current: Optional[RawBasis] = None
-    for idx, root in enumerate(_roots(algo)):
-        coeffs = _coefficients(root, target)
-        if min(coeffs) >= 0:
-            current = root
-            steps.append(_make_step(algo, root, 0, idx, coeffs, den))
-            break
-    if current is None:  # unreachable for points in the unit square
-        raise InvalidInputError(f"({t1}, {t2}) not covered by the initial bases")
-
-    for depth in range(1, n + 1):
-        for idx, child in enumerate(kids(*current)):
-            coeffs = _coefficients(child, target)
+    candidates = initial_vectors(algo)
+    for depth in range(n + 1):
+        for idx, basis in enumerate(candidates):
+            coeffs = _coefficients(basis, target)
             if min(coeffs) >= 0:
-                current = child
-                steps.append(_make_step(algo, child, depth, idx, coeffs, den))
+                steps.append(_make_step(algo, basis, depth, idx, coeffs, den))
+                candidates = kids(*basis)
                 break
         else:  # regular partitions always cover theta
-            raise InvariantViolationError(f"no child of {current} contains ({t1}, {t2})")
+            raise InvariantViolationError(f"no triangle at depth {depth} contains ({t1}, {t2})")
     return DescentChain(algo, (t1, t2), tuple(steps))
 
 
@@ -236,34 +231,22 @@ def vertices_up_to(algo: str, qmax: int) -> Dict[LatticeVector, int]:
     """Every primitive vector with denominator <= qmax, mapped to the
     smallest depth at which it occurs as a basis vector.
 
-    A subtree is abandoned once the smallest denominator any descendant
-    could add exceeds qmax (the sum of the two smallest current
-    denominators for algorithm A, q(g2) + q(g3) for algorithm B); that
-    bound never decreases down the tree, so the prune is exhaustive.
+    A subtree is abandoned once ``min_new_denominator`` exceeds qmax.
     """
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
-    is_a = algo == ALGO_A
-    kids = _children(algo)
+    kids = child_rule(algo)
     first: Dict[Vec, int] = {}
-    stack: List[Tuple[RawBasis, int]] = [(r, 0) for r in _roots(algo)]
-    while stack:
-        basis, d = stack.pop()
+
+    def expand(basis, _d):
+        return kids(*basis) if min_new_denominator(algo, basis) <= qmax else ()
+
+    for basis, d in descend(initial_vectors(algo), expand):
         for v in basis:
             if v[0] <= qmax:
                 known = first.get(v)
                 if known is None or d < known:
                     first[v] = d
-        if is_a:
-            qs = sorted(v[0] for v in basis)
-            bound = qs[0] + qs[1]
-        else:
-            bound = basis[1][0] + basis[2][0]
-        if bound > qmax:
-            continue
-        nd = d + 1
-        for ch in kids(*basis):
-            stack.append((ch, nd))
     return {LatticeVector(*v): d for v, d in sorted(first.items())}
 
 
@@ -273,37 +256,13 @@ QTriple = Tuple[int, int, int]
 LevelCounts = Dict[QTriple, int]
 
 
-def _step_counts_a(level: LevelCounts) -> LevelCounts:
-    # For p <= q <= r each child triple below is already sorted ascending,
-    # so sortedness is preserved by induction from the root (1, 1, 1).
-    nxt: LevelCounts = {}
+def _step(level: Dict, expand: Callable[..., Iterable]) -> Dict:
+    # Every state's count moves onto each state expand(*state) returns.
+    nxt: Dict = {}
     get = nxt.get
-    for (p, q, r), c in level.items():
-        pq = p + q
-        pr = p + r
-        qr = q + r
-        s = pq + r
-        for t in (
-            (p, pq, pr),
-            (q, pq, qr),
-            (r, pr, qr),
-            (pq, pr, s),
-            (pq, qr, s),
-            (pr, qr, s),
-        ):
-            nxt[t] = get(t, 0) + c
-    return nxt
-
-
-def _step_counts_b(level: LevelCounts) -> LevelCounts:
-    nxt: LevelCounts = {}
-    get = nxt.get
-    for (qa, qb, qc), c in level.items():
-        s = qb + qc
-        k1 = (s, qa, qb)
-        k0 = (s, qa, qc)
-        nxt[k1] = get(k1, 0) + c
-        nxt[k0] = get(k0, 0) + c
+    for state, c in level.items():
+        for key in expand(*state):
+            nxt[key] = get(key, 0) + c
     return nxt
 
 
@@ -313,15 +272,24 @@ def level_q_counts(algo: str, n: int, start: Optional[LevelCounts] = None) -> It
     Algorithm A triples are kept sorted ascending (the rule ignores
     vertex order); algorithm B triples keep their positional order.
     """
-    step = _step_counts_a if algo == ALGO_A else _step_counts_b
+    # The rules on denominators alone.  For p <= q <= r every six-way
+    # child triple is again sorted ascending, so sortedness holds by
+    # induction from the root (1, 1, 1).
+    expand = partial(child_rule(algo), add=operator.add)
     level: LevelCounts = {(1, 1, 1): 2} if start is None else dict(start)
     yield level
     for _ in range(n):
-        level = step(level)
+        level = _step(level, expand)
         yield level
 
 
 CodedState = Tuple[int, int, int, int, bool]
+
+
+def _coded_children_a(p: int, q: int, r: int, rlen: int, lc: bool) -> Iterator[CodedState]:
+    for rule, child in enumerate(child_vectors_a(p, q, r, operator.add)):
+        extends, corner = streak_step_a(rule, lc)
+        yield child + (rlen if extends else rlen + 1, corner)
 
 
 def level_q_counts_coded_a(n: int) -> Iterator[Dict[CodedState, int]]:
@@ -333,25 +301,7 @@ def level_q_counts_coded_a(n: int) -> Iterator[Dict[CodedState, int]]:
     level: Dict[CodedState, int] = {(1, 1, 1, 0, False): 2}
     yield level
     for _ in range(n):
-        nxt: Dict[CodedState, int] = {}
-        get = nxt.get
-        for (p, q, r, rlen, lc), c in level.items():
-            pq = p + q
-            pr = p + r
-            qr = q + r
-            s = pq + r
-            r_ext = rlen if lc else rlen + 1
-            r_new = rlen + 1
-            for key in (
-                (p, pq, pr, r_ext, True),
-                (q, pq, qr, r_new, True),
-                (r, pr, qr, r_new, True),
-                (pq, pr, s, r_new, False),
-                (pq, qr, s, r_new, False),
-                (pr, qr, s, r_new, False),
-            ):
-                nxt[key] = get(key, 0) + c
-        level = nxt
+        level = _step(level, _coded_children_a)
         yield level
 
 

@@ -9,6 +9,7 @@ order, and report the first counterexample found as a witness.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,16 +23,16 @@ from .core import (
     det3,
     diameter_sq,
     shoelace_area,
+    vec_add,
 )
-from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_vectors_a, child_vectors_b
+from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_rule, child_vectors_a, child_vectors_b
 from .census import (
     census,
     degrees_at,
     expected_counts,
     expected_degree_histogram_a,
-    frontier_degrees,
+    split_degrees,
     stable_degree_table,
-    stable_degrees,
 )
 from .analysis import cumulative_moment_check, exact_unit_sum, extreme_areas
 from .tiling import (
@@ -112,7 +113,7 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
     name = "regular-partition"
     if algo == ALGO_CLASSICAL:
         return _skip(name, _CLAIM_REGULAR, algo, "intervals partition trivially")
-    kids = child_vectors_a if algo == ALGO_A else child_vectors_b
+    kids = child_rule(algo)
     checked = 0
     # exact area bookkeeping at every enumerated depth, on distinct triples
     sum_depth = min(limit, 8 if algo == ALGO_A else 16)
@@ -124,7 +125,7 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
             checked += mult
             parent_area = Fraction(1, 2 * p * q * r)
             child_area = Fraction(0)
-            for cp, cq, cr in _triple_children(algo, (p, q, r)):
+            for cp, cq, cr in kids(p, q, r, operator.add):
                 child_area += Fraction(1, 2 * cp * cq * cr)
             if child_area != parent_area:
                 return _fail(name, _CLAIM_REGULAR, algo, params, checked,
@@ -154,14 +155,6 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
 
 def _pt(v):
     return (Fraction(v[1], v[0]), Fraction(v[2], v[0]))
-
-
-def _triple_children(algo: str, t: Tuple[int, int, int]):
-    p, q, r = t
-    if algo == ALGO_A:
-        pq, pr, qr, s = p + q, p + r, q + r, p + q + r
-        return ((p, pq, pr), (q, pq, qr), (r, pr, qr), (pq, pr, s), (pq, qr, s), (pr, qr, s))
-    return ((q + r, p, q), (q + r, p, r))
 
 
 _CLAIM_AREA = "1/(2 q(a) q(b) q(c)) equals the shoelace area of every triangle"
@@ -221,7 +214,7 @@ def _check_lemma4(algo: str, limit: int) -> CheckReport:
             break
         for t, mult in level.items():
             checked += mult
-            children = _triple_children(ALGO_A, t)
+            children = child_vectors_a(*t, operator.add)
             for rule, child in enumerate(children):
                 low = min(child)
                 for dropped in range(3):
@@ -295,7 +288,8 @@ def _check_lemma13(algo: str, limit: int) -> CheckReport:
                 return _fail(name, _CLAIM_L13, algo, params, checked,
                              {"part": "i", "depth": d, "triple": [qa, qb, qc]})
             # operation "1" child (qb+qc, qa, qb): area ratio qc/(qb+qc) <= 1/2
-            if Fraction(1, 2 * (qb + qc) * qa * qb) > Fraction(1, 2 * qa * qb * qc) / 2:
+            (q1a, q1b, q1c), _ = child_vectors_b(qa, qb, qc, operator.add)
+            if Fraction(1, 2 * q1a * q1b * q1c) > Fraction(1, 2 * qa * qb * qc) / 2:
                 return _fail(name, _CLAIM_L13, algo, params, checked,
                              {"part": "ii", "depth": d, "triple": [qa, qb, qc]})
     # part iii: explicit zero-runs from whole bases
@@ -343,7 +337,7 @@ def _check_lemma16(algo: str, limit: int) -> CheckReport:
     for d in range(depth + 1):
         for basis in iter_bases_at(ALGO_B, d):
             a, b, c = basis
-            expected = (b[0] + c[0], b[1] + c[1], b[2] + c[2])
+            expected = vec_add(b, c)
             for d0 in (0, 1):
                 first = child_vectors_b(*basis)[1 - d0]
                 for d1 in (0, 1):
@@ -492,8 +486,11 @@ def _check_degree_set(algo: str, limit: int) -> CheckReport:
     params = {"depth": depth, "table_qmax": 60}
     checked = 0
     table = stable_degree_table(algo, 60)
+    older = degrees_at(algo, 0)
     for n in range(1, depth + 1):
-        stable = stable_degrees(algo, n)
+        deg = degrees_at(algo, n)
+        stable, frontier = split_degrees(algo, deg, older)
+        older = deg
         allowed = {2, 3, 5, 8} if algo == ALGO_A else {3, 5, 8}
         for v, d in stable.items():
             checked += 1
@@ -505,7 +502,7 @@ def _check_degree_set(algo: str, limit: int) -> CheckReport:
                              {"depth": n, "vertex": list(v), "degree": d,
                               "graded": table[v]})
         if algo == ALGO_B:
-            for v, d in frontier_degrees(algo, n).items():
+            for v, d in frontier.items():
                 checked += 1
                 if d not in {2, 3, 4}:
                     return _fail(name, _CLAIM_DEGSET, algo, params, checked,
@@ -529,10 +526,14 @@ def _check_degree_stability(algo: str, limit: int) -> CheckReport:
     if base_max < 1:
         return _skip(name, _CLAIM_DEGSTAB, algo, "depth limit leaves no room for lookahead")
     checked = 0
+    # degree maps of depths n-1 .. n+2 at the top of each pass
+    maps = [degrees_at(algo, d) for d in range(4)]
     for n in range(1, base_max + 1):
-        stable = stable_degrees(algo, n)
+        stable, _ = split_degrees(algo, maps[1], maps[0])
+        del maps[0]
+        maps.append(degrees_at(algo, n + 3))
         for k in range(1, 4):
-            later = degrees_at(algo, n + k)
+            later = maps[k]
             for v, d in stable.items():
                 checked += 1
                 if later[tuple(v)] != d:

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -64,6 +66,22 @@ def test_render_byte_identical(tmp_path):
     run_cli("render", "--algo", "a", "--depth", "3", "--out", str(a), "--labels")
     run_cli("render", "--algo", "a", "--depth", "3", "--out", str(b), "--labels")
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the SVG files, recorded before the descents were merged into
+# one routine; the bytes follow the traversal order.
+PINNED_SVG_SHA256 = {
+    ("a", "4"): "bb899f1a26346aa5c0534e80bf7fd92c91a7be7ea18eb17ad9db81e77934a5bb",
+    ("b", "9"): "92b32f3f656a86fb3f2ccbfe981e2f9b53f97efb7d8d6a6b5b08a21b39922387",
+    ("classical", "6"): "5db6d6e1060261a0e8fe45ab082681679ff909aefc4ac06249da171b72c53db8",
+}
+
+
+@pytest.mark.parametrize("algo,depth", sorted(PINNED_SVG_SHA256))
+def test_render_svg_pinned_hash(tmp_path, algo, depth):
+    out = tmp_path / "t.svg"
+    run_cli("render", "--algo", algo, "--depth", depth, "--out", str(out), "--labels")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SVG_SHA256[algo, depth]
 
 
 def test_locate_chain_payload():
@@ -134,6 +152,21 @@ def test_classical_subcommand():
     assert result["exact"] is True
     assert "/" in result["sigma"]
     assert result["ratio"] > 0
+
+
+def test_classical_float_sigma_is_the_moment():
+    from farey_brocot.analysis import classical_moment
+
+    result = payload(run_cli("classical", "--depth", "12", "--beta", "3/2"))["result"]
+    assert result["exact"] is False
+    assert result["sigma"] == classical_moment(12, Fraction(3, 2)).value
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(jobs):
+    proc = run_cli("census", "--algo", "a", "--depth", "1", "--jobs", jobs, check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
 
 
 def test_dirichlet_classical_oracle_agreement():

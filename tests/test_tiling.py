@@ -6,6 +6,7 @@ import pytest
 
 from farey_brocot.core import InvalidInputError, point_in_triangle
 from farey_brocot.tiling import (
+    descend,
     enumerate_tiling,
     face_count,
     iter_bases_at,
@@ -59,6 +60,37 @@ def test_coded_counts_match_totals():
     assert sum(level.values()) == face_count("a", 5)
     # code length r never exceeds the depth and code sums reach it
     assert all(0 < r <= 5 for (_, _, _, r, _) in level)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_coded_counts_match_geometry(n):
+    # coded multiplicity engine against the geometric stream, keyed by
+    # the vertex-order denominators and the code length
+    for level in level_q_counts_coded_a(n):
+        pass
+    coded = Counter()
+    for (p, q, r, rlen, _), c in level.items():
+        coded[(p, q, r), rlen] += c
+    geometric = Counter(
+        (tuple(v.x for v in tri.vertices), len(tri.code)) for tri in iter_triangles("a", n)
+    )
+    assert coded == geometric
+
+
+def test_descend_preorder_left_to_right():
+    calls = []
+
+    def expand(node, depth):
+        calls.append(node)
+        return (node + "0", node + "1") if depth < 2 else ()
+
+    walk = list(descend(["L", "R"], expand))
+    assert [node for node, _ in walk] == [
+        "L", "L0", "L00", "L01", "L1", "L10", "L11",
+        "R", "R0", "R00", "R01", "R1", "R10", "R11",
+    ]
+    assert [d for node, d in walk] == [len(node) - 1 for node, _ in walk]
+    assert calls == [node for node, _ in walk]
 
 
 def test_split_states_are_canonical():
