@@ -1,11 +1,14 @@
 """Zeta values, tiling moments, Dirichlet series, asymptotic diagnostics.
 
 Moments are exact rationals whenever the order is a positive integer
-and the computation fits the exact-mode budget; order 1 is always exact
-because the level sums telescope.  Everything floating is produced by
-``math.fsum`` over canonically sorted terms (or a fixed subtree
-decomposition), so results are independent of worker count and
-bit-identical across runs.
+and the computation fits the exact-mode budget; order 1 stays exact at
+any supported depth of the 2-d rules because the level sums telescope.
+Float sums are ``math.fsum`` over a level's terms, whose result is
+correctly rounded and so independent of the order of the terms, merged
+over a fixed task decomposition (or a Kahan sum in descent order for
+the classical sweep), so results are independent of worker count and
+bit-identical across runs.  Dirichlet heads read the per-denominator
+degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
 tail bound: the true value lies in [value, value + tail_bound].
@@ -18,10 +21,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
-from .census import stable_degree_table
+from .census import check_degree_counts, degree_counts, totients
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_intervals
 from .tiling import LevelCounts, descend, face_count, level_q_counts, split_q_states
 from ._jobs import run_tasks
@@ -29,6 +32,9 @@ from ._jobs import run_tasks
 Beta = Union[int, float, Fraction]
 
 EXACT_FACE_CAP = 100_000
+# Exact order-1 classical moments walk every interval: 1.2 s at depth 20,
+# doubling per level (2 CPUs, CPython 3.11).
+EXACT_UNIT_INTERVAL_CAP = 2**20
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 30}
 
 MAX_DEGREE = 8
@@ -118,22 +124,17 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
 
 def _level_moment_exact(level: LevelCounts, beta: int) -> Fraction:
     total = Fraction(0)
-    for (p, q, r), c in sorted(level.items()):
+    for (p, q, r), c in level.items():
         total += Fraction(c, (2 * p * q * r) ** beta)
     return total
 
 
 def _level_moment_float(level: LevelCounts, beta: float) -> float:
     if beta == 2.0:
-        return fsum(c / float(x * x) for x, c in _area_denoms(level))
+        return fsum([c / float((2 * p * q * r) ** 2) for (p, q, r), c in level.items()])
     if beta == 1.0:
-        return fsum(c / float(x) for x, c in _area_denoms(level))
-    return fsum(c * float(x) ** -beta for x, c in _area_denoms(level))
-
-
-def _area_denoms(level: LevelCounts) -> Iterable[Tuple[int, int]]:
-    for (p, q, r), c in sorted(level.items()):
-        yield 2 * p * q * r, c
+        return fsum([c / float(2 * p * q * r) for (p, q, r), c in level.items()])
+    return fsum([c * float(2 * p * q * r) ** -beta for (p, q, r), c in level.items()])
 
 
 def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, float]) -> List[float]:
@@ -208,14 +209,20 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
     b = _as_beta(beta)
     integral = b.denominator == 1
     faces = face_count(algo, n) if algo != ALGO_CLASSICAL else 2**n
-    affordable = integral and (faces <= EXACT_FACE_CAP or b == 1)
+    if b != 1:
+        cap = EXACT_FACE_CAP
+    elif algo == ALGO_CLASSICAL:
+        cap = EXACT_UNIT_INTERVAL_CAP
+    else:  # the triple levels collapse, so order 1 is cheap at any depth
+        cap = math.inf
+    affordable = integral and faces <= cap
     if exact is None:
         return affordable
     if exact and not integral:
         raise DomainError("exact mode needs an integer order")
     if exact and not affordable:
         raise CapacityError(
-            f"exact mode for order {b} is capped at {EXACT_FACE_CAP} cells; "
+            f"exact mode for order {b} is capped at {cap} cells; "
             f"depth {n} has {faces}"
         )
     return exact
@@ -285,12 +292,7 @@ def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> Moment
 
 def exact_unit_sum(algo: str, n: int) -> Fraction:
     """Exact rational sum of all cell measures at depth n (should be 1)."""
-    if algo == ALGO_CLASSICAL:
-        return _classical_exact_unit(n)
-    _check_moment_args(algo, n, 1)
-    for level in level_q_counts(algo, n):
-        pass
-    return _level_moment_exact(level, 1)
+    return moment(algo, n, 1, exact=True).value
 
 
 def extreme_areas(algo: str, n: int) -> Tuple[Fraction, Fraction]:
@@ -305,41 +307,81 @@ def extreme_areas(algo: str, n: int) -> Tuple[Fraction, Fraction]:
 # --- Dirichlet series -------------------------------------------------------
 
 
+# The exact integer-order head sums qmax fractions whose common
+# denominator has about 1.44 * beta * qmax bits.  Measured (2 CPUs,
+# CPython 3.11): beta * qmax = 49,152 takes 0.68 s (beta 6, qmax 8192),
+# 98,304 takes 3.0 s (beta 6, qmax 16384), 1,024,000 takes 45 s
+# (beta 1000, qmax 1024).
+EXACT_HEAD_CAP = 65536
+
+
+def _check_dirichlet(algo: str, b: Fraction, qmax: int) -> None:
+    # Everything dirichlet_L(algo, b, qmax) would raise, before it allocates.
+    if b <= 3:
+        raise DomainError("the 2-d Dirichlet series needs beta > 3")
+    check_degree_counts(algo, qmax)
+    if b.denominator == 1 and b * qmax > EXACT_HEAD_CAP:
+        raise CapacityError(
+            f"the exact head for order {b} up to qmax {qmax} exceeds capacity "
+            f"order * qmax <= {EXACT_HEAD_CAP}"
+        )
+
+
+def _dirichlet_tail(b: Fraction, qmax: int) -> float:
+    return float(MAX_DEGREE * PRIMITIVE_DENSITY) * qmax ** (3.0 - float(b)) / (float(b) - 3.0)
+
+
 def dirichlet_L(algo: str, beta: Beta, qmax: int) -> SeriesValue:
     """Head of the degree-weighted Dirichlet series up to denominator qmax.
 
-    The head is computed exactly for integer beta and converted once.
+    The head sum over vectors v of deg(v) q(v)^-beta is read from the
+    per-denominator degree counts n_d(q).  For integer beta it is exact,
+    sum_q (sum_d d n_d(q)) / q^beta, converted once; otherwise it is the
+    correctly rounded sum of n_d(q) copies of each term d * q^-beta.
     The tail over q > qmax is bounded by (degree cap) x (primitive point
     density) x the integral of x^(2-beta), which needs beta > 3.
     """
     b = _as_beta(beta)
-    if b <= 3:
-        raise DomainError("the 2-d Dirichlet series needs beta > 3")
-    if qmax < 1:
-        raise InvalidInputError("qmax must be >= 1")
-    table = stable_degree_table(algo, qmax)
+    _check_dirichlet(algo, b, qmax)
+    rows = list(enumerate(degree_counts(algo, qmax)))[1:]
     if b.denominator == 1:
-        head = float(sum(Fraction(d, v.x ** int(b)) for v, d in sorted(table.items())))
+        e = int(b)
+        head = float(sum(Fraction(sum(d * n for d, n in row.items()), q**e) for q, row in rows))
     else:
         bf = float(b)
-        head = fsum(d * float(v.x) ** -bf for v, d in sorted(table.items()))
-    tail = float(MAX_DEGREE * PRIMITIVE_DENSITY) * qmax ** (3.0 - float(b)) / (float(b) - 3.0)
-    return SeriesValue(head, tail, len(table))
+        head = float(sum(n * Fraction(d * float(q) ** -bf) for q, row in rows for d, n in row.items()))
+    terms = sum(n for _, row in rows for n in row.values())
+    return SeriesValue(head, _dirichlet_tail(b, qmax), terms)
 
 
 def dirichlet_L_auto(
     algo: str, beta: Beta, rel_tail: float = 0.01, qmax_cap: int = 4096
 ) -> Tuple[SeriesValue, int]:
-    """Grow qmax until the tail bound drops below `rel_tail` of the head."""
+    """Grow qmax (8, 16, 32, ...) until the tail bound drops below
+    `rel_tail` of the head.
+
+    No head exceeds the lowest upper bracket end seen so far, so a qmax
+    whose tail bound is not below `rel_tail` times that end cannot stop
+    the growth.  The request fails as soon as the first qmax that could
+    stop it lies beyond `qmax_cap` or beyond the capacity of
+    ``dirichlet_L``, before that head is computed.
+    """
+    b = _as_beta(beta)
     qmax = 8
+    upper = math.inf
     while True:
-        sv = dirichlet_L(algo, beta, qmax)
+        sv = dirichlet_L(algo, b, qmax)
         if sv.tail_bound < rel_tail * sv.value:
             return sv, qmax
-        if qmax >= qmax_cap:
+        upper = min(upper, sv.upper)
+        need = 2 * qmax
+        while need < qmax_cap and not _dirichlet_tail(b, need) < rel_tail * upper:
+            need *= 2
+        if qmax >= qmax_cap or not _dirichlet_tail(b, need) < rel_tail * upper:
             raise CapacityError(
                 f"tail below {rel_tail} of the head needs qmax beyond {qmax_cap}"
             )
+        _check_dirichlet(algo, b, need)
         qmax *= 2
 
 
@@ -363,11 +405,7 @@ def classical_L_direct(beta: Beta, qmax: int) -> SeriesValue:
         raise DomainError("the classical Dirichlet series needs beta > 2")
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
-    phi = list(range(qmax + 1))
-    for p in range(2, qmax + 1):
-        if phi[p] == p:  # p prime
-            for k in range(p, qmax + 1, p):
-                phi[k] -= phi[k] // p
+    phi, _ = totients(qmax)
     head = 2.0 * fsum(phi[q] * float(q) ** -bf for q in range(1, qmax + 1))
     tail = 2.0 * qmax ** (2.0 - bf) / (bf - 2.0)
     return SeriesValue(head, tail, qmax)

@@ -1,10 +1,17 @@
+import functools
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
+from farey_brocot.census import stable_degree_table
 from farey_brocot.analysis import (
+    MAX_DEGREE,
+    PRIMITIVE_DENSITY,
+    SeriesValue,
     asymptotic_sweep,
     classical_L,
     classical_L_direct,
@@ -13,6 +20,7 @@ from farey_brocot.analysis import (
     cumulative_moment_check,
     dirichlet_L,
     dirichlet_L_auto,
+    exact_mode,
     exact_unit_sum,
     extreme_areas,
     main_term,
@@ -207,3 +215,73 @@ def test_moment_values_in_unit_interval():
             val = classical_moment(n, beta).value
             assert 0 < val <= 1
             assert (val == 1) == (beta == 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(algo, qmax):
+    return stable_degree_table(algo, qmax)
+
+
+def _table_dirichlet_L(algo, beta, qmax):
+    # The head read from the vector degree table, one term per vector.
+    b = Fraction(beta)
+    table = _table(algo, qmax)
+    if b.denominator == 1:
+        head = float(sum(Fraction(d, v.x ** int(b)) for v, d in sorted(table.items())))
+    else:
+        bf = float(b)
+        head = math.fsum(d * float(v.x) ** -bf for v, d in sorted(table.items()))
+    tail = float(MAX_DEGREE * PRIMITIVE_DENSITY) * qmax ** (3.0 - float(b)) / (float(b) - 3.0)
+    return SeriesValue(head, tail, len(table))
+
+
+# 4 and 6, then the non-integer orders of the benchmark's series menu
+# (perfbench/workloads.py, BETA_SERIES).
+HEAD_ORDERS = ["4", "6", "11/2", "21/4", "23/4", "25/4", "27/4", "13/2", "26/5", "33/5"]
+
+
+@pytest.mark.parametrize("algo", ["a", "b"])
+@pytest.mark.parametrize("qmax", [1, 2, 3, 8, 80])
+def test_dirichlet_head_equals_the_table_head(algo, qmax):
+    for beta in map(Fraction, HEAD_ORDERS):
+        assert dirichlet_L(algo, beta, qmax) == _table_dirichlet_L(algo, beta, qmax), beta
+
+
+@pytest.mark.parametrize("beta", [Fraction(5), Fraction(11, 2), Fraction(6), Fraction(7)])
+def test_rule_b_series_closed_form_in_bracket(beta):
+    # L_b(beta) = (8 zeta(beta-2) + 4 zeta(beta-1)) / zeta(beta), from the
+    # degree weight 8 J_2(q) + 4 phi(q) of rule b.
+    with mpmath.workdps(50):
+        s = mpmath.mpf(beta.numerator) / beta.denominator
+        truth = (8 * mpmath.zeta(s - 2) + 4 * mpmath.zeta(s - 1)) / mpmath.zeta(s)
+        for qmax in (1, 8, 80, 1000):
+            sv = dirichlet_L("b", beta, qmax)
+            lo = mpmath.mpf(sv.value)
+            assert lo <= truth <= lo + mpmath.mpf(sv.tail_bound), (qmax, sv)
+
+
+def _raises_fast(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError):
+        fn(*args, **kwargs)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_dirichlet_capacity_raises_before_work():
+    _raises_fast(dirichlet_L, "a", 6, 2048)  # rule a's center descent
+    _raises_fast(dirichlet_L, "b", Fraction(11, 2), 65537)  # the totient sieve
+    _raises_fast(dirichlet_L, "b", 6, 16384)  # the exact integer-order head
+    _raises_fast(dirichlet_L, "b", 1000, 80)
+    # 3 * 11/10: no qmax up to the 4096 cap brings the tail under 1 %.
+    _raises_fast(dirichlet_L_auto, "a", Fraction(33, 10))
+    # 3 * 6/5: the first qmax that could is 2048, beyond rule a's budget.
+    _raises_fast(dirichlet_L_auto, "a", Fraction(18, 5))
+    sv, qmax = dirichlet_L_auto("b", Fraction(18, 5))
+    assert sv.tail_bound < 0.01 * sv.value and qmax == 2048
+
+
+def test_exact_classical_order_one_budget():
+    _raises_fast(moment, "classical", 21, 1, exact=True)
+    _raises_fast(exact_unit_sum, "classical", 21)
+    # Without --exact, depth 21 falls back to the float sweep.
+    assert exact_mode("classical", 20, 1) and not exact_mode("classical", 21, 1)

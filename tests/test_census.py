@@ -1,13 +1,18 @@
+from collections import Counter
+from math import gcd
+
 import pytest
 
 from farey_brocot.core import CapacityError, LatticeVector
 from farey_brocot.census import (
     census,
+    degree_counts,
     expected_counts,
     expected_degree_histogram_a,
     frontier_degrees,
     stable_degree_table,
     stable_degrees,
+    totients,
 )
 
 
@@ -78,6 +83,22 @@ def test_degree_table_matches_measured(algo, checks):
         for v, d in measured.items():
             if v.x <= 80:
                 assert table[v] == d, (algo, n, tuple(v))
+
+
+@pytest.mark.parametrize("algo", ["a", "b"])
+def test_degree_counts_match_the_table(algo):
+    qmax = 100
+    expected = [Counter() for _ in range(qmax + 1)]
+    for v, d in stable_degree_table(algo, qmax).items():
+        expected[v.x][d] += 1
+    assert degree_counts(algo, qmax) == [dict(c) for c in expected]
+
+
+def test_totients_count_residues():
+    phi, j2 = totients(40)
+    for q in range(1, 41):
+        assert phi[q] == sum(1 for a in range(q) if gcd(a, q) == 1)
+        assert j2[q] == sum(1 for a in range(q) for b in range(q) if gcd(gcd(a, b), q) == 1)
 
 
 def test_degree_table_q1_head():
