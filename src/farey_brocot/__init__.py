@@ -8,18 +8,14 @@ series with rigorous tail bounds, and ships a verify suite plus a CLI.
 """
 
 from .core import (
-    Basis,
     CapacityError,
     DomainError,
     InvalidInputError,
     InvariantViolationError,
     LatticeVector,
-    RationalPoint,
     Triangle,
     det3,
     diameter,
-    mediant,
-    normalize,
     shoelace_area,
     triangle_area,
 )
@@ -27,17 +23,11 @@ from .subdivision import (
     ALGO_A,
     ALGO_B,
     ALGO_CLASSICAL,
-    brocot_level,
     code_a_from_chain,
-    initial_bases,
-    step_1d,
-    subdivide_a,
-    subdivide_b,
 )
 from .tiling import (
     DescentChain,
-    TilingSummary,
-    enumerate_tiling,
+    brocot_level,
     iter_intervals,
     iter_triangles,
     locate,
@@ -71,7 +61,6 @@ __all__ = [
     "ALGO_A",
     "ALGO_B",
     "ALGO_CLASSICAL",
-    "Basis",
     "CapacityError",
     "Census",
     "CheckReport",
@@ -81,9 +70,7 @@ __all__ = [
     "InvariantViolationError",
     "LatticeVector",
     "MomentValue",
-    "RationalPoint",
     "SeriesValue",
-    "TilingSummary",
     "Triangle",
     "asymptotic_sweep",
     "brocot_level",
@@ -98,27 +85,20 @@ __all__ = [
     "diameter",
     "dirichlet_L",
     "dirichlet_L_auto",
-    "enumerate_tiling",
     "exact_unit_sum",
     "expected_counts",
     "extreme_areas",
-    "initial_bases",
     "iter_intervals",
     "iter_triangles",
     "locate",
-    "mediant",
     "moment",
     "moment_sweep",
-    "normalize",
     "summability_bound",
     "render_svg",
     "run_checks",
     "shoelace_area",
     "stable_degree_table",
     "stable_degrees",
-    "step_1d",
-    "subdivide_a",
-    "subdivide_b",
     "triangle_area",
     "vertices_up_to",
     "zeta",

@@ -24,7 +24,7 @@ from math import fsum
 from typing import Dict, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
-from .census import check_degree_counts, degree_counts, totients
+from .census import check_degree_counts, check_sieve, degree_counts, totients
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_intervals
 from .tiling import LevelCounts, descend, face_count, level_q_counts, split_q_states
 from ._jobs import run_tasks
@@ -35,7 +35,10 @@ EXACT_FACE_CAP = 100_000
 # Exact order-1 classical moments walk every interval: 1.2 s at depth 20,
 # doubling per level (2 CPUs, CPython 3.11).
 EXACT_UNIT_INTERVAL_CAP = 2**20
-MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 30}
+# The float classical sweep walks all 2^(n+1) - 1 intervals: 2.1 s at
+# depth 20, 4.1 s at 21, 7.9 s at 22 and 13.9 s at 23 (2 CPUs, CPython
+# 3.11), so depth 22 is the last within the Dirichlet heads' ~7 s budget.
+MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 
 MAX_DEGREE = 8
 # Primitive points with a fixed denominator q number at most (4/3) q^2.
@@ -405,6 +408,7 @@ def classical_L_direct(beta: Beta, qmax: int) -> SeriesValue:
         raise DomainError("the classical Dirichlet series needs beta > 2")
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
+    check_sieve(qmax)
     phi, _ = totients(qmax)
     head = 2.0 * fsum(phi[q] * float(q) ** -bf for q in range(1, qmax + 1))
     tail = 2.0 * qmax ** (2.0 - bf) / (bf - 2.0)
@@ -453,6 +457,7 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
         raise DomainError("asymptotic diagnostics need beta > 1")
     if n_lo < 2 or n_hi < n_lo:
         raise InvalidInputError("need 2 <= n_lo <= n_hi")
+    _check_moment_args(algo, n_hi, b)
     series = _series_for_main_term(algo, b)
     if algo == ALGO_CLASSICAL:
         sigmas = classical_moment_sweep(n_hi, b)

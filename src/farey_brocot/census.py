@@ -162,12 +162,6 @@ def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]
     return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
 
 
-def frontier_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
-    """Degrees of the vertices that first appear at depth n."""
-    older = degrees_at(algo, n - 1, jobs=jobs) if n >= 1 else {}
-    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[1]
-
-
 # --- creation-type degree grading ------------------------------------------
 
 
@@ -247,14 +241,19 @@ def totients(n: int) -> Tuple[List[int], List[int]]:
     return phi, j2
 
 
+def check_sieve(qmax: int) -> None:
+    """Raise unless ``totients(qmax)`` fits its budget."""
+    if qmax > SIEVE_QMAX_CAP:
+        raise CapacityError(f"qmax {qmax} exceeds the totient sieve's capacity {SIEVE_QMAX_CAP}")
+
+
 def check_degree_counts(algo: str, qmax: int) -> None:
     """Raise unless ``degree_counts(algo, qmax)`` fits its budget."""
     if algo not in _INITIAL_DEGREES:
         raise InvalidInputError(f"no degree grading for algorithm {algo!r}")
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
-    if qmax > SIEVE_QMAX_CAP:
-        raise CapacityError(f"qmax {qmax} exceeds the totient sieve's capacity {SIEVE_QMAX_CAP}")
+    check_sieve(qmax)
     states = qmax**3 // 360
     if algo == ALGO_A and states > CENTER_STATE_CAP:
         raise CapacityError(

@@ -164,9 +164,9 @@ def _do_locate(args) -> Tuple[Dict, Dict, Dict]:
     for s in chain.steps:
         steps.append(
             {
-                "depth": s.basis.depth,
+                "depth": s.triangle.depth,
                 "child_index": s.child_index,
-                "vertices": [list(v) for v in s.basis.vectors],
+                "vertices": [list(v) for v in s.triangle.vertices],
                 "coefficients": [_frac_str(c) for c in s.coefficients],
             }
         )

@@ -5,6 +5,10 @@ Everything here is exact: lattice vectors are primitive integer triples
 pairs of ``fractions.Fraction``, and all geometric predicates are
 sign-of-determinant tests on rationals.  Floating point enters only in
 ``diameter`` (a final square root) and is never used for decisions.
+
+The engines step raw integer triples; the one object type for a cell is
+``Triangle``, a unimodular basis of three ``LatticeVector`` values with
+the depth, rule and code it was reached by.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 
 class InvalidInputError(ValueError):
@@ -38,10 +42,6 @@ class LatticeVector(NamedTuple):
     y1: int
     y2: int
 
-    @property
-    def q(self) -> int:
-        return self.x
-
     def point(self) -> Tuple[Fraction, Fraction]:
         return Fraction(self.y1, self.x), Fraction(self.y2, self.x)
 
@@ -50,34 +50,8 @@ Vec = Tuple[int, int, int]
 Point = Tuple[Fraction, Fraction]
 
 
-def normalize(v: Iterable[int]) -> LatticeVector:
-    """Divide an integer triple by the gcd of its components.
-
-    Idempotent.  Rejects the zero vector and negative components.
-    """
-    t = tuple(v)
-    if len(t) != 3:
-        raise InvalidInputError(f"expected an integer triple, got {t!r}")
-    x, y1, y2 = t
-    if x == 0 and y1 == 0 and y2 == 0:
-        raise InvalidInputError("cannot normalize the zero vector")
-    if x < 0 or y1 < 0 or y2 < 0:
-        raise InvalidInputError(f"components must be nonnegative, got {t!r}")
-    g = math.gcd(math.gcd(x, y1), y2)
-    return LatticeVector(x // g, y1 // g, y2 // g)
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
-
-
-def mediant_vector(u: Vec, v: Vec) -> LatticeVector:
-    """Componentwise sum of two primitive vectors, renormalized.
-
-    When u, v extend to a lattice basis the sum is already primitive and
-    normalization is a no-op; the gcd division only acts otherwise.
-    """
-    return normalize(vec_add(u, v))
 
 
 def det3(g1: Vec, g2: Vec, g3: Vec) -> int:
@@ -89,68 +63,9 @@ def det3(g1: Vec, g2: Vec, g3: Vec) -> int:
 
 
 @dataclass(frozen=True)
-class RationalPoint:
-    """A rational point of the unit square, held as its primitive vector."""
-
-    vector: LatticeVector
-
-    @classmethod
-    def from_fractions(cls, y1: Fraction, y2: Fraction) -> "RationalPoint":
-        y1, y2 = Fraction(y1), Fraction(y2)
-        if not (0 <= y1 <= 1 and 0 <= y2 <= 1):
-            raise InvalidInputError(f"point ({y1}, {y2}) outside the unit square")
-        q = math.lcm(y1.denominator, y2.denominator)
-        return cls(LatticeVector(q, int(y1 * q), int(y2 * q)))
-
-    @property
-    def q(self) -> int:
-        """Common denominator: the x coordinate of the primitive vector."""
-        return self.vector.x
-
-    @property
-    def coords(self) -> Point:
-        return self.vector.point()
-
-    def mediant(self, other: "RationalPoint") -> "RationalPoint":
-        return RationalPoint(mediant_vector(self.vector, other.vector))
-
-
-def mediant(a: RationalPoint, b: RationalPoint) -> RationalPoint:
-    """Mediant a (+) b: the projection of the sum of the primitive vectors."""
-    return a.mediant(b)
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Ordered triple of lattice vectors with determinant +-1."""
-
-    vectors: Tuple[LatticeVector, LatticeVector, LatticeVector]
-    depth: int = 0
-    algo: str = "a"
-
-    def det(self) -> int:
-        return det3(*self.vectors)
-
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
-
-    def denominators(self) -> Tuple[int, int, int]:
-        return tuple(v[0] for v in self.vectors)
-
-    def triangle(self, code: Tuple = ()) -> "Triangle":
-        return Triangle(self.vectors, self.depth, self.algo, code)
-
-
-def basis_of(vectors: Sequence[Vec], depth: int = 0, algo: str = "a") -> Basis:
-    vs = tuple(LatticeVector(*v) for v in vectors)
-    if len(vs) != 3:
-        raise InvalidInputError("a basis needs exactly three vectors")
-    return Basis(vs, depth, algo)
-
-
-@dataclass(frozen=True)
 class Triangle:
-    """Projection of a basis to the unit square, with depth and code.
+    """A lattice basis (three vectors, determinant +-1) and its projection
+    to the unit square, with depth and code.
 
     Vertex order is significant for algorithm B triangles and
     incidental for algorithm A.

@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Set, Tuple
 
-from .core import CapacityError, InvalidInputError
-from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, brocot_level, initial_bases
-from .tiling import iter_triangles
+from .core import CapacityError, InvalidInputError, LatticeVector
+from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, initial_vectors
+from .tiling import brocot_level, iter_triangles
 
 RENDER_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 16, ALGO_CLASSICAL: 16}
 
@@ -69,8 +69,8 @@ def _render_square(algo: str, depth: int, labels: bool, label_cap: int, size: in
         verts.update(tuple(v) for v in tri.vertices)
     out.append("</g>\n")
     out.append('<g fill="none" stroke="#000" stroke-width="2">\n')
-    for basis in initial_bases(algo):
-        pts = [v.point() for v in basis.vectors]
+    for basis in initial_vectors(algo):
+        pts = [LatticeVector(*v).point() for v in basis]
         d = "M " + " L ".join(f"{sx(x)} {sy(y)}" for x, y in pts) + " Z"
         out.append(f'<path d="{d}"/>\n')
     out.append("</g>\n")

@@ -10,19 +10,9 @@ unit interval.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .core import (
-    Basis,
-    InvalidInputError,
-    InvariantViolationError,
-    LatticeVector,
-    Triangle,
-    Vec,
-    basis_of,
-    vec_add,
-)
+from .core import InvalidInputError, LatticeVector, Triangle, Vec, vec_add
 
 ALGO_A = "a"
 ALGO_B = "b"
@@ -45,19 +35,6 @@ def initial_vectors(algo: str) -> Tuple[Tuple[Vec, Vec, Vec], ...]:
     if algo == ALGO_B:
         return INITIAL_VECTORS_B
     raise InvalidInputError(f"unknown 2-d algorithm {algo!r}")
-
-
-def initial_bases(algo: str) -> Tuple[Basis, Basis]:
-    """The two depth-0 bases covering the unit square."""
-    return tuple(basis_of(vs, depth=0, algo=algo) for vs in initial_vectors(algo))
-
-
-def initial_a() -> Tuple[Basis, Basis]:
-    return initial_bases(ALGO_A)
-
-
-def initial_b() -> Tuple[Basis, Basis]:
-    return initial_bases(ALGO_B)
 
 
 # --- the rules ---------------------------------------------------------------
@@ -123,52 +100,6 @@ def min_new_denominator(algo: str, basis: Tuple[Vec, Vec, Vec]) -> int:
     return qb + qc
 
 
-def _subdivide(parent: Basis, algo: str) -> Tuple[Basis, ...]:
-    if not parent.is_unimodular():
-        raise InvariantViolationError(f"parent basis has det {parent.det()}, not +-1")
-    d = parent.depth + 1
-    return tuple(
-        Basis(tuple(LatticeVector(*v) for v in ch), d, algo)
-        for ch in child_rule(algo)(*parent.vectors)
-    )
-
-
-def subdivide_a(parent: Basis) -> Tuple[Basis, ...]:
-    """Six unimodular children whose triangles tile the parent triangle."""
-    return _subdivide(parent, ALGO_A)
-
-
-def subdivide_b(parent: Basis) -> Tuple[Basis, Basis]:
-    """Ordered pair (child of operation "1", child of operation "0")."""
-    return _subdivide(parent, ALGO_B)
-
-
-def step_1d(level: Sequence[Fraction]) -> List[Fraction]:
-    """One classical refinement: insert the mediant between each pair of
-    neighbours.  Input must be sorted ascending from 0 to 1."""
-    fracs = [Fraction(x) for x in level]
-    if len(fracs) < 2 or fracs[0] != 0 or fracs[-1] != 1:
-        raise InvalidInputError("level must run from 0/1 to 1/1")
-    if any(a >= b for a, b in zip(fracs, fracs[1:])):
-        raise InvalidInputError("level must be strictly ascending")
-    out = [fracs[0]]
-    for a, b in zip(fracs, fracs[1:]):
-        (_, m), _ = child_intervals((a.numerator, a.denominator), (b.numerator, b.denominator))
-        out.append(Fraction(*m))
-        out.append(b)
-    return out
-
-
-def brocot_level(n: int) -> List[Fraction]:
-    """The n-th classical level F_n, of length 2**n + 1."""
-    if n < 0:
-        raise InvalidInputError("depth must be nonnegative")
-    level = [Fraction(0), Fraction(1)]
-    for _ in range(n):
-        level = step_1d(level)
-    return level
-
-
 # --- code bookkeeping ------------------------------------------------------
 #
 # Algorithm A attaches to each triangle the run-length sequence
@@ -176,9 +107,6 @@ def brocot_level(n: int) -> List[Fraction]:
 # to the depth.  During descent this is tracked in O(1) per step; the
 # chain-based computation below is the independent definition used to
 # cross-check the incremental one.
-
-EMPTY_CODE: Tuple[int, ...] = ()
-
 
 def streak_step_a(rule: int, last_corner: bool) -> Tuple[bool, bool]:
     """(whether the step extends the open streak, whether the child keeps

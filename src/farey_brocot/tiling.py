@@ -1,11 +1,14 @@
 """Streaming enumeration of tilings, point location, vertex harvesting.
 
 Two complementary engines live here.  The geometric engine walks actual
-lattice bases depth-first and is used wherever vertices matter (graph
-censuses, containment, rendering).  The multiplicity engine evolves
-counts of denominator triples level by level; triples collapse heavily
-(millions of triangles share a few hundred thousand triples), which is
-what makes desk-scale moment sweeps affordable in exact arithmetic.
+lattice bases depth-first through ``descend`` and is used wherever
+vertices matter (graph censuses, containment, rendering, the verify
+checks).  It streams raw integer triples; ``iter_triangles`` and
+``locate`` wrap them as ``Triangle`` values.  The multiplicity engine
+evolves counts of denominator triples level by level; triples collapse
+heavily (millions of triangles share a few hundred thousand triples),
+which is what makes desk-scale moment sweeps affordable in exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -17,16 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
-from .core import (
-    Basis,
-    InvalidInputError,
-    InvariantViolationError,
-    LatticeVector,
-    Point,
-    Triangle,
-    Vec,
-    det3,
-)
+from .core import InvalidInputError, InvariantViolationError, LatticeVector, Point, Triangle, Vec, det3
 from .subdivision import (
     ALGO_A,
     child_intervals,
@@ -74,12 +68,18 @@ def face_count(algo: str, n: int) -> int:
     return 2 * branching(algo) ** n
 
 
-def iter_bases_at(algo: str, n: int) -> Iterator[RawBasis]:
-    """Depth-first stream of the raw bases at exactly depth n."""
+def iter_bases(algo: str, n: int) -> Iterator[Tuple[RawBasis, int]]:
+    """Depth-first pre-order stream of (raw basis, depth) for every
+    depth 0..n."""
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
     kids = child_rule(algo)
-    for basis, d in descend(initial_vectors(algo), lambda b, d: kids(*b) if d < n else ()):
+    return descend(initial_vectors(algo), lambda b, d: kids(*b) if d < n else ())
+
+
+def iter_bases_at(algo: str, n: int) -> Iterator[RawBasis]:
+    """Depth-first stream of the raw bases at exactly depth n."""
+    for basis, d in iter_bases(algo, n):
         if d == n:
             yield basis
 
@@ -123,28 +123,9 @@ def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
             yield Fraction(*u), Fraction(*v)
 
 
-@dataclass(frozen=True)
-class TilingSummary:
-    algo: str
-    depth: int
-    count: int
-    area_total: Fraction
-
-
-def enumerate_tiling(algo: str, n: int, visitor: Optional[Callable[[Triangle], None]] = None) -> TilingSummary:
-    """Visit every triangle of the depth-n tiling exactly once.
-
-    Returns the visit count and the exact rational sum of visited areas
-    (1 for every depth, which the verify suite asserts).
-    """
-    count = 0
-    area = Fraction(0)
-    for tri in iter_triangles(algo, n):
-        count += 1
-        area += tri.area()
-        if visitor is not None:
-            visitor(tri)
-    return TilingSummary(algo, n, count, area)
+def brocot_level(n: int) -> List[Fraction]:
+    """The n-th classical level F_n, of length 2**n + 1."""
+    return [Fraction(0)] + [right for _, right in iter_intervals(n)]
 
 
 # --- point location --------------------------------------------------------
@@ -152,7 +133,7 @@ def enumerate_tiling(algo: str, n: int, visitor: Optional[Callable[[Triangle], N
 
 @dataclass(frozen=True)
 class DescentStep:
-    basis: Basis
+    triangle: Triangle
     child_index: int
     coefficients: Tuple[Fraction, Fraction, Fraction]
 
@@ -165,18 +146,15 @@ class DescentChain:
     theta: Point
     steps: Tuple[DescentStep, ...]
 
-    def bases(self) -> List[Basis]:
-        return [s.basis for s in self.steps]
-
     def triangles(self) -> List[Triangle]:
-        return [s.basis.triangle() for s in self.steps]
+        return [s.triangle for s in self.steps]
 
     def vertex_depth(self) -> Optional[int]:
         """First depth at which theta itself is a vertex, if any."""
         for s in self.steps:
-            for v in s.basis.vectors:
+            for v in s.triangle.vertices:
                 if v.point() == self.theta:
-                    return s.basis.depth
+                    return s.triangle.depth
         return None
 
 
@@ -211,17 +189,13 @@ def locate(algo: str, theta: Point, n: int) -> DescentChain:
         for idx, basis in enumerate(candidates):
             coeffs = _coefficients(basis, target)
             if min(coeffs) >= 0:
-                steps.append(_make_step(algo, basis, depth, idx, coeffs, den))
+                tri = Triangle(tuple(LatticeVector(*v) for v in basis), depth, algo)
+                steps.append(DescentStep(tri, idx, tuple(Fraction(c, den) for c in coeffs)))
                 candidates = kids(*basis)
                 break
         else:  # regular partitions always cover theta
             raise InvariantViolationError(f"no triangle at depth {depth} contains ({t1}, {t2})")
     return DescentChain(algo, (t1, t2), tuple(steps))
-
-
-def _make_step(algo: str, basis: RawBasis, depth: int, idx: int, coeffs: Tuple[int, int, int], den: int) -> DescentStep:
-    b = Basis(tuple(LatticeVector(*v) for v in basis), depth, algo)
-    return DescentStep(b, idx, tuple(Fraction(c, den) for c in coeffs))
 
 
 # --- vertex harvesting -----------------------------------------------------

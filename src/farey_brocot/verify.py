@@ -36,7 +36,7 @@ from .census import (
 )
 from .analysis import cumulative_moment_check, exact_unit_sum, extreme_areas
 from .tiling import (
-    iter_bases_at,
+    iter_bases,
     level_q_counts,
     level_q_counts_coded_a,
     locate,
@@ -94,12 +94,11 @@ def _check_unimodularity(algo: str, limit: int) -> CheckReport:
     depth = min(limit, 6 if algo == ALGO_A else 16)
     params = {"depth": depth}
     checked = 0
-    for d in range(depth + 1):
-        for basis in iter_bases_at(algo, d):
-            checked += 1
-            if abs(det3(*basis)) != 1:
-                return _fail(name, _CLAIM_UNIMODULAR, algo, params, checked,
-                             {"depth": d, "basis": [list(v) for v in basis]})
+    for basis, d in iter_bases(algo, depth):
+        checked += 1
+        if abs(det3(*basis)) != 1:
+            return _fail(name, _CLAIM_UNIMODULAR, algo, params, checked,
+                         {"depth": d, "basis": [list(v) for v in basis]})
     return _pass(name, _CLAIM_UNIMODULAR, algo, params, checked)
 
 
@@ -117,7 +116,8 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
     checked = 0
     # exact area bookkeeping at every enumerated depth, on distinct triples
     sum_depth = min(limit, 8 if algo == ALGO_A else 16)
-    params = {"area_sum_depth": sum_depth, "geometry_depth": min(limit, 4)}
+    geometry_depth = min(limit, 4)
+    params = {"area_sum_depth": sum_depth, "geometry_depth": geometry_depth}
     for d, level in enumerate(level_q_counts(algo, sum_depth)):
         if d == sum_depth:
             break
@@ -130,26 +130,26 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
             if child_area != parent_area:
                 return _fail(name, _CLAIM_REGULAR, algo, params, checked,
                              {"depth": d, "triple": [p, q, r]})
-    # exact rational geometry on small depths
-    for d in range(min(limit, 4)):
-        for basis in iter_bases_at(algo, d):
-            checked += 1
-            parent_pts = [_pt(v) for v in basis]
-            children = [[_pt(v) for v in ch] for ch in kids(*basis)]
-            for pts in children:
-                inter = convex_clip(pts, parent_pts)
-                if not inter or shoelace_area(inter) != shoelace_area(pts):
+    # exact rational geometry on every parent of a cell at depth <= geometry_depth
+    parents = iter_bases(algo, geometry_depth - 1) if geometry_depth else ()
+    for basis, d in parents:
+        checked += 1
+        parent_pts = [_pt(v) for v in basis]
+        children = [[_pt(v) for v in ch] for ch in kids(*basis)]
+        for pts in children:
+            inter = convex_clip(pts, parent_pts)
+            if not inter or shoelace_area(inter) != shoelace_area(pts):
+                return _fail(name, _CLAIM_REGULAR, algo, params, checked,
+                             {"depth": d, "problem": "child escapes parent",
+                              "basis": [list(v) for v in basis]})
+        for i in range(len(children)):
+            for j in range(i + 1, len(children)):
+                inter = convex_clip(children[i], children[j])
+                if inter and shoelace_area(inter) != 0:
                     return _fail(name, _CLAIM_REGULAR, algo, params, checked,
-                                 {"depth": d, "problem": "child escapes parent",
+                                 {"depth": d, "problem": "overlapping interiors",
+                                  "children": [i, j],
                                   "basis": [list(v) for v in basis]})
-            for i in range(len(children)):
-                for j in range(i + 1, len(children)):
-                    inter = convex_clip(children[i], children[j])
-                    if inter and shoelace_area(inter) != 0:
-                        return _fail(name, _CLAIM_REGULAR, algo, params, checked,
-                                     {"depth": d, "problem": "overlapping interiors",
-                                      "children": [i, j],
-                                      "basis": [list(v) for v in basis]})
     return _pass(name, _CLAIM_REGULAR, algo, params, checked)
 
 
@@ -167,13 +167,12 @@ def _check_area_formula(algo: str, limit: int) -> CheckReport:
     depth = min(limit, 6)
     params = {"depth": depth}
     checked = 0
-    for d in range(depth + 1):
-        for basis in iter_bases_at(algo, d):
-            checked += 1
-            qa, qb, qc = basis[0][0], basis[1][0], basis[2][0]
-            if Fraction(1, 2 * qa * qb * qc) != shoelace_area([_pt(v) for v in basis]):
-                return _fail(name, _CLAIM_AREA, algo, params, checked,
-                             {"depth": d, "basis": [list(v) for v in basis]})
+    for basis, d in iter_bases(algo, depth):
+        checked += 1
+        qa, qb, qc = basis[0][0], basis[1][0], basis[2][0]
+        if Fraction(1, 2 * qa * qb * qc) != shoelace_area([_pt(v) for v in basis]):
+            return _fail(name, _CLAIM_AREA, algo, params, checked,
+                         {"depth": d, "basis": [list(v) for v in basis]})
     return _pass(name, _CLAIM_AREA, algo, params, checked)
 
 
@@ -279,7 +278,8 @@ def _check_lemma13(algo: str, limit: int) -> CheckReport:
         return _skip(name, _CLAIM_L13, algo, "ordered-rule statement")
     depth = min(limit, 16)
     kmax = 12
-    params = {"depth": depth, "zero_run_parents_depth": min(limit, 4), "kmax": kmax}
+    parents_depth = min(limit, 4)
+    params = {"depth": depth, "zero_run_parents_depth": parents_depth, "kmax": kmax}
     checked = 0
     for d, level in enumerate(level_q_counts(ALGO_B, depth)):
         for (qa, qb, qc), mult in level.items():
@@ -293,26 +293,25 @@ def _check_lemma13(algo: str, limit: int) -> CheckReport:
                 return _fail(name, _CLAIM_L13, algo, params, checked,
                              {"part": "ii", "depth": d, "triple": [qa, qb, qc]})
     # part iii: explicit zero-runs from whole bases
-    for d in range(min(limit, 4) + 1):
-        for basis in iter_bases_at(ALGO_B, d):
-            a, b, c = basis
-            cur = basis
-            for k in range(1, kmax + 1):
-                cur = child_vectors_b(*cur)[1]
-                half = k // 2
-                if k % 2 == 0:
-                    want = (_shift(a, c, half), _shift(b, c, half), c)
-                else:
-                    want = (_shift(b, c, half + 1), _shift(a, c, half), c)
-                checked += 1
-                if cur != want:
-                    return _fail(name, _CLAIM_L13, algo, params, checked,
-                                 {"part": "iii", "depth": d, "k": k,
-                                  "start": [list(v) for v in basis]})
-                if 2 * cur[0][0] < (k + 1) * c[0] or 2 * cur[1][0] < (k + 1) * c[0]:
-                    return _fail(name, _CLAIM_L13, algo, params, checked,
-                                 {"part": "iii-bound", "depth": d, "k": k,
-                                  "start": [list(v) for v in basis]})
+    for basis, d in iter_bases(ALGO_B, parents_depth):
+        a, b, c = basis
+        cur = basis
+        for k in range(1, kmax + 1):
+            cur = child_vectors_b(*cur)[1]
+            half = k // 2
+            if k % 2 == 0:
+                want = (_shift(a, c, half), _shift(b, c, half), c)
+            else:
+                want = (_shift(b, c, half + 1), _shift(a, c, half), c)
+            checked += 1
+            if cur != want:
+                return _fail(name, _CLAIM_L13, algo, params, checked,
+                             {"part": "iii", "depth": d, "k": k,
+                              "start": [list(v) for v in basis]})
+            if 2 * cur[0][0] < (k + 1) * c[0] or 2 * cur[1][0] < (k + 1) * c[0]:
+                return _fail(name, _CLAIM_L13, algo, params, checked,
+                             {"part": "iii-bound", "depth": d, "k": k,
+                              "start": [list(v) for v in basis]})
     return _pass(name, _CLAIM_L13, algo, params, checked)
 
 
@@ -334,22 +333,21 @@ def _check_lemma16(algo: str, limit: int) -> CheckReport:
     depth = min(limit, 4)
     params = {"parent_depth": depth}
     checked = 0
-    for d in range(depth + 1):
-        for basis in iter_bases_at(ALGO_B, d):
-            a, b, c = basis
-            expected = vec_add(b, c)
-            for d0 in (0, 1):
-                first = child_vectors_b(*basis)[1 - d0]
-                for d1 in (0, 1):
-                    cur = first
-                    for op in (d1, 1, 0):
-                        cur = child_vectors_b(*cur)[1 - op]
-                    checked += 1
-                    third = cur[2]
-                    if third != expected or third in basis or third not in first:
-                        return _fail(name, _CLAIM_L16, algo, params, checked,
-                                     {"depth": d, "ops": [d0, d1, 1, 0],
-                                      "start": [list(v) for v in basis]})
+    for basis, d in iter_bases(ALGO_B, depth):
+        a, b, c = basis
+        expected = vec_add(b, c)
+        for d0 in (0, 1):
+            first = child_vectors_b(*basis)[1 - d0]
+            for d1 in (0, 1):
+                cur = first
+                for op in (d1, 1, 0):
+                    cur = child_vectors_b(*cur)[1 - op]
+                checked += 1
+                third = cur[2]
+                if third != expected or third in basis or third not in first:
+                    return _fail(name, _CLAIM_L16, algo, params, checked,
+                                 {"depth": d, "ops": [d0, d1, 1, 0],
+                                  "start": [list(v) for v in basis]})
     return _pass(name, _CLAIM_L16, algo, params, checked)
 
 

@@ -285,3 +285,18 @@ def test_exact_classical_order_one_budget():
     _raises_fast(exact_unit_sum, "classical", 21)
     # Without --exact, depth 21 falls back to the float sweep.
     assert exact_mode("classical", 20, 1) and not exact_mode("classical", 21, 1)
+
+
+def test_classical_sweep_capacity_raises_before_work():
+    # the float sweep doubles per level: about 14 s at depth 23
+    _raises_fast(classical_moment_sweep, 23, 2)
+    _raises_fast(moment, "classical", 30, 2)
+    _raises_fast(moment, "classical", 23, 1)  # order 1 past the exact budget
+    _raises_fast(classical_moment, 23, Fraction(3, 2))
+    _raises_fast(asymptotic_sweep, "classical", 2, 2, 23)
+
+
+def test_classical_direct_sum_sieve_capacity():
+    _raises_fast(classical_L_direct, 4, 65537)
+    _raises_fast(classical_L_direct, 4, 10**8)
+    assert classical_L_direct(4, 65536).terms_used == 65536

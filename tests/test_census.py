@@ -7,9 +7,10 @@ from farey_brocot.core import CapacityError, LatticeVector
 from farey_brocot.census import (
     census,
     degree_counts,
+    degrees_at,
     expected_counts,
     expected_degree_histogram_a,
-    frontier_degrees,
+    split_degrees,
     stable_degree_table,
     stable_degrees,
     totients,
@@ -71,8 +72,12 @@ def test_stable_degrees_b_center():
 
 
 def test_frontier_degrees_b():
-    assert set(frontier_degrees("b", 1).values()) == {4}
-    assert set(frontier_degrees("b", 2).values()) <= {2, 3, 4}
+    # the vertices new at depth n, with their still transient degrees
+    def frontier(n):
+        return split_degrees("b", degrees_at("b", n), degrees_at("b", n - 1))[1]
+
+    assert set(frontier(1).values()) == {4}
+    assert set(frontier(2).values()) <= {2, 3, 4}
 
 
 @pytest.mark.parametrize("algo,checks", [("a", range(1, 5)), ("b", range(2, 8))])

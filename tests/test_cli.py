@@ -84,6 +84,24 @@ def test_render_svg_pinned_hash(tmp_path, algo, depth):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SVG_SHA256[algo, depth]
 
 
+# SHA-256 of the canonical result (sorted-key JSON), recorded before the
+# Basis class was folded into Triangle and verify's per-depth walks into
+# one.
+PINNED_RESULT_SHA256 = {
+    "locate --algo a --point 3/7,2/9 --depth 40": "91ed2a6b9925d6a2b8db14f44d671a3001f18b2c729069bae8120b3748ccfdac",
+    "locate --algo b --point 3/7,2/9 --depth 40": "0f5adb5ef4d16b4997565aacba749fb9f091ea162affe2f1448017c624fee8c5",
+    "verify --algo a --depth 3": "a9fc44e78e16cc81121df13c323d0e8fc3cd877dbdee9a436696af71d4e61da2",
+    "verify --algo b --depth 12": "d198b5fbf89747cc0bc8728666d5e26c228f3b4d8f0d9654de42f3904860540b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RESULT_SHA256))
+def test_result_pinned_hash(command):
+    result = payload(run_cli(*command.split()))["result"]
+    text = json.dumps(result, sort_keys=True, ensure_ascii=False)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_RESULT_SHA256[command]
+
+
 def test_locate_chain_payload():
     proc = run_cli("locate", "--algo", "a", "--point", "3/7,2/7", "--depth", "7")
     result = payload(proc)["result"]

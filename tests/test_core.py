@@ -7,52 +7,28 @@ from hypothesis import given, strategies as st
 from farey_brocot.core import (
     InvalidInputError,
     LatticeVector,
-    RationalPoint,
     Triangle,
     convex_clip,
     det3,
     diameter,
-    mediant,
-    normalize,
     point_in_triangle,
     shoelace_area,
     triangle_area,
+    vec_add,
 )
 
 
-def test_normalize_examples():
-    assert normalize((2, 0, 2)) == (1, 0, 1)
-    assert normalize((1, 1, 1)) == (1, 1, 1)
-    assert normalize((6, 2, 4)) == (3, 1, 2)
-
-
-def test_normalize_rejects_zero_and_negative():
-    with pytest.raises(InvalidInputError):
-        normalize((0, 0, 0))
-    with pytest.raises(InvalidInputError):
-        normalize((1, -1, 0))
-
-
-@given(st.tuples(st.integers(0, 10**9), st.integers(0, 10**9), st.integers(0, 10**9)))
-def test_normalize_idempotent(v):
-    if v == (0, 0, 0):
-        return
-    once = normalize(v)
-    assert normalize(once) == once
-    assert math.gcd(math.gcd(once.x, once.y1), once.y2) == 1
+def _mediant(u, v):
+    # the mediant of two points is the projection of their vectors' sum
+    m = LatticeVector(*vec_add(u, v))
+    return m.point(), m.x
 
 
 def test_mediant_examples():
-    p00 = RationalPoint.from_fractions(Fraction(0), Fraction(0))
-    p10 = RationalPoint.from_fractions(Fraction(1), Fraction(0))
-    p01 = RationalPoint.from_fractions(Fraction(0), Fraction(1))
-    m = mediant(p00, p10)
-    assert m.coords == (Fraction(1, 2), Fraction(0)) and m.q == 2
-    m = mediant(p10, p01)
-    assert m.coords == (Fraction(1, 2), Fraction(1, 2)) and m.q == 2
-    half = RationalPoint.from_fractions(Fraction(1, 2), Fraction(1, 2))
-    m = mediant(half, p10)
-    assert m.coords == (Fraction(2, 3), Fraction(1, 3)) and m.q == 3
+    p00, p10, p01, half = (1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 1, 1)
+    assert _mediant(p00, p10) == ((Fraction(1, 2), Fraction(0)), 2)
+    assert _mediant(p10, p01) == ((Fraction(1, 2), Fraction(1, 2)), 2)
+    assert _mediant(half, p10) == ((Fraction(2, 3), Fraction(1, 3)), 3)
 
 
 @given(
@@ -60,9 +36,7 @@ def test_mediant_examples():
     st.tuples(st.integers(1, 50), st.integers(0, 50), st.integers(0, 50)),
 )
 def test_mediant_commutes(u, v):
-    a = RationalPoint(normalize((u[0], min(u[1], u[0]), min(u[2], u[0]))))
-    b = RationalPoint(normalize((v[0], min(v[1], v[0]), min(v[2], v[0]))))
-    assert mediant(a, b) == mediant(b, a)
+    assert vec_add(u, v) == vec_add(v, u)
 
 
 def test_det_examples():
@@ -97,14 +71,6 @@ def test_diameter_rejects_duplicates():
     t = _tri((1, 0, 0), (1, 0, 0), (1, 0, 1))
     with pytest.raises(InvalidInputError):
         diameter(t)
-
-
-def test_rational_point_validation():
-    with pytest.raises(InvalidInputError):
-        RationalPoint.from_fractions(Fraction(3, 2), Fraction(0))
-    p = RationalPoint.from_fractions(Fraction(2, 6), Fraction(3, 6))
-    assert p.vector == (6, 2, 3)
-    assert p.q == 6
 
 
 def test_point_in_triangle_boundary():

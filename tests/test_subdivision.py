@@ -4,103 +4,103 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farey_brocot.core import Basis, InvalidInputError, InvariantViolationError, LatticeVector
+from farey_brocot.core import InvalidInputError, LatticeVector, Triangle, det3, triangle_area
 from farey_brocot.subdivision import (
-    brocot_level,
+    child_vectors_a,
+    child_vectors_b,
     code_a_from_chain,
     extend_code_a,
-    initial_a,
-    initial_b,
-    step_1d,
-    subdivide_a,
-    subdivide_b,
+    initial_vectors,
 )
-from farey_brocot.tiling import iter_triangles
+from farey_brocot.tiling import brocot_level, iter_triangles
+
+
+def _points(basis):
+    return [LatticeVector(*v).point() for v in basis]
+
+
+def _area(basis):
+    return triangle_area(Triangle(tuple(LatticeVector(*v) for v in basis)))
 
 
 def test_initial_a_projections():
-    e1, e2 = initial_a()
-    assert [v.point() for v in e1.vectors] == [
+    e1, e2 = initial_vectors("a")
+    assert _points(e1) == [
         (Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ]
-    assert [v.point() for v in e2.vectors] == [
+    assert _points(e2) == [
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
         (Fraction(1), Fraction(1)),
     ]
-    assert e1.is_unimodular() and e2.is_unimodular()
+    assert abs(det3(*e1)) == 1 and abs(det3(*e2)) == 1
 
 
 def test_initial_b_order():
-    e1, e2 = initial_b()
-    assert e1.vectors == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
-    assert e2.vectors == ((1, 1, 1), (1, 0, 1), (1, 1, 0))
+    e1, e2 = initial_vectors("b")
+    assert e1 == ((1, 0, 0), (1, 1, 0), (1, 0, 1))
+    assert e2 == ((1, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def test_subdivide_a_first_child():
-    e1, _ = initial_a()
-    children = subdivide_a(e1)
-    assert children[0].vectors == ((1, 0, 0), (2, 1, 0), (2, 0, 1))
-    assert all(c.is_unimodular() for c in children)
+    e1, _ = initial_vectors("a")
+    children = child_vectors_a(*e1)
+    assert children[0] == ((1, 0, 0), (2, 1, 0), (2, 0, 1))
+    assert all(abs(det3(*c)) == 1 for c in children)
 
 
 def test_subdivide_a_child_areas():
-    e1, _ = initial_a()
-    areas = sorted(c.triangle().area() for c in subdivide_a(e1))
+    e1, _ = initial_vectors("a")
+    areas = sorted(_area(c) for c in child_vectors_a(*e1))
     assert areas == [Fraction(1, 24)] * 3 + [Fraction(1, 8)] * 3
     assert sum(areas) == Fraction(1, 2)
 
 
 def test_subdivide_a_order_independent():
-    e1, _ = initial_a()
-    base = {frozenset(c.vectors) for c in subdivide_a(e1)}
-    for perm in itertools.permutations(e1.vectors):
-        shuffled = Basis(tuple(perm), 0, "a")
-        assert {frozenset(c.vectors) for c in subdivide_a(shuffled)} == base
-
-
-def test_subdivide_a_rejects_non_basis():
-    bad = Basis((LatticeVector(1, 0, 0), LatticeVector(1, 1, 0), LatticeVector(2, 1, 0)), 0, "a")
-    with pytest.raises(InvariantViolationError):
-        subdivide_a(bad)
+    # rule a ignores vertex order: every permutation of the parent gives
+    # the same six children as vertex sets
+    e1, _ = initial_vectors("a")
+    base = {frozenset(c) for c in child_vectors_a(*e1)}
+    for perm in itertools.permutations(e1):
+        assert {frozenset(c) for c in child_vectors_a(*perm)} == base
 
 
 def test_subdivide_b_examples():
-    e1, _ = initial_b()
-    c1, c0 = subdivide_b(e1)
+    e1, _ = initial_vectors("b")
+    c1, c0 = child_vectors_b(*e1)
     # operation "1": (b (+) c, a, b); operation "0": (b (+) c, a, c)
-    assert [v.point() for v in c1.vectors] == [
+    assert _points(c1) == [
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0)),
     ]
-    assert [v.point() for v in c0.vectors] == [
+    assert _points(c0) == [
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ]
-    assert c1.triangle().area() + c0.triangle().area() == Fraction(1, 2)
-    assert c1.triangle().area() == Fraction(1, 4)
+    assert _area(c1) + _area(c0) == Fraction(1, 2)
+    assert _area(c1) == Fraction(1, 4)
 
 
 def test_subdivide_b_depends_on_order():
-    e1, _ = initial_b()
-    g1, g2, g3 = e1.vectors
-    swapped = Basis((g1, g3, g2), 0, "b")
-    c1, c0 = subdivide_b(e1)
-    s1, s0 = subdivide_b(swapped)
-    assert s1.vectors == (c0.vectors[0], c0.vectors[1], c0.vectors[2])
-    assert s1.vectors != c1.vectors
+    # rule b reads vertex order: swapping the last two vertices swaps
+    # which child operation "1" produces
+    e1, _ = initial_vectors("b")
+    g1, g2, g3 = e1
+    c1, c0 = child_vectors_b(g1, g2, g3)
+    s1, s0 = child_vectors_b(g1, g3, g2)
+    assert s1 == c0 and s0 == c1
+    assert s1 != c1
 
 
 def test_step_1d_examples():
-    f0 = [Fraction(0), Fraction(1)]
-    f1 = step_1d(f0)
-    assert f1 == [Fraction(0), Fraction(1, 2), Fraction(1)]
-    f2 = step_1d(f1)
-    assert f2 == [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+    # each classical step inserts the mediant between neighbours
+    assert brocot_level(0) == [Fraction(0), Fraction(1)]
+    assert brocot_level(1) == [Fraction(0), Fraction(1, 2), Fraction(1)]
+    assert brocot_level(2) == [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
 
 
 @pytest.mark.parametrize("n", range(0, 11))
@@ -108,20 +108,16 @@ def test_brocot_level_size(n):
     assert len(brocot_level(n)) == 2**n + 1
 
 
-def test_step_1d_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        step_1d([Fraction(0), Fraction(2, 3), Fraction(1, 3), Fraction(1)])
-    with pytest.raises(InvalidInputError):
-        step_1d([Fraction(1, 3), Fraction(1)])
+def _tri(basis, depth=0):
+    return Triangle(tuple(LatticeVector(*v) for v in basis), depth, "a")
 
 
 def _chain_by_rules(rules):
-    e1, _ = initial_a()
-    chain = [e1.triangle()]
-    basis = e1
-    for r in rules:
-        basis = subdivide_a(basis)[r]
-        chain.append(basis.triangle())
+    basis, _ = initial_vectors("a")
+    chain = [_tri(basis)]
+    for depth, r in enumerate(rules, 1):
+        basis = child_vectors_a(*basis)[r]
+        chain.append(_tri(basis, depth))
     return chain
 
 
@@ -134,9 +130,9 @@ def test_code_examples():
 
 
 def test_code_broken_chain():
-    e1, e2 = initial_a()
+    e1, e2 = initial_vectors("a")
     with pytest.raises(InvalidInputError):
-        code_a_from_chain([e1.triangle(), e2.triangle()])
+        code_a_from_chain([_tri(e1), _tri(e2)])
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,11 @@ from math import gcd
 
 import pytest
 
-from farey_brocot.core import InvalidInputError, point_in_triangle
+from farey_brocot.core import InvalidInputError, det3, point_in_triangle, vec_add
 from farey_brocot.tiling import (
     descend,
-    enumerate_tiling,
     face_count,
+    iter_bases,
     iter_bases_at,
     iter_triangles,
     level_q_counts,
@@ -20,18 +20,24 @@ from farey_brocot.tiling import (
 
 
 def test_enumerate_counts_and_unit_area():
-    s = enumerate_tiling("a", 0)
-    assert s.count == 2 and s.area_total == 1
-    assert enumerate_tiling("a", 1).count == 12
-    assert enumerate_tiling("b", 3).count == 16
-    assert enumerate_tiling("b", 3).area_total == 1
+    for algo, n, count in (("a", 0, 2), ("a", 1, 12), ("b", 3, 16)):
+        tris = list(iter_triangles(algo, n))
+        assert len(tris) == count == face_count(algo, n)
+        assert sum(t.area() for t in tris) == 1
 
 
 def test_enumerate_visits_each_once():
-    seen = []
-    enumerate_tiling("a", 2, visitor=seen.append)
+    seen = list(iter_triangles("a", 2))
     assert len(seen) == 72
-    assert len({t.vertices for t in seen}) == 72
+    assert len({frozenset(t.vertices) for t in seen}) == 72
+
+
+@pytest.mark.parametrize("algo,n", [("a", 3), ("b", 7)])
+def test_iter_bases_walks_every_depth_once(algo, n):
+    walk = list(iter_bases(algo, n))
+    assert [d for _, d in walk].count(n) == face_count(algo, n)
+    for d in range(n + 1):
+        assert [b for b, e in walk if e == d] == list(iter_bases_at(algo, d))
 
 
 def test_depth0_areas():
@@ -103,7 +109,7 @@ def test_locate_corner_chain():
     chain = locate("a", (Fraction(0), Fraction(0)), 5)
     for step in chain.steps:
         assert sorted(step.coefficients).count(Fraction(0)) >= 2
-        assert step.basis.triangle().contains((Fraction(0), Fraction(0)))
+        assert step.triangle.contains((Fraction(0), Fraction(0)))
     assert [s.child_index for s in chain.steps[1:]] == [0] * 5
 
 
@@ -140,7 +146,7 @@ def test_locate_deterministic():
     theta = (Fraction(1, 3), Fraction(1, 3))
     c1 = locate("a", theta, 6)
     c2 = locate("a", theta, 6)
-    assert [s.basis for s in c1.steps] == [s.basis for s in c2.steps]
+    assert [s.triangle for s in c1.steps] == [s.triangle for s in c2.steps]
 
 
 def test_vertices_up_to_small():
@@ -191,16 +197,15 @@ def test_iter_intervals_partition():
 
 
 def test_mediant_additive_on_basis_pairs():
-    # q(a (+) b) = q(a) + q(b) whenever a, b sit in a common basis
-    from farey_brocot.core import mediant_vector
-
+    # whenever u, v sit in a common basis, u + v is primitive, so the
+    # mediant's denominator is q(u) + q(v) with no reduction
     for algo in ("a", "b"):
-        for n in (0, 2, 4):
-            for basis in iter_bases_at(algo, n):
-                for i in range(3):
-                    for j in range(i + 1, 3):
-                        m = mediant_vector(basis[i], basis[j])
-                        assert m.x == basis[i][0] + basis[j][0]
+        for basis, _ in iter_bases(algo, 4):
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    m = vec_add(basis[i], basis[j])
+                    assert gcd(gcd(m[0], m[1]), m[2]) == 1
+                    assert m[0] == basis[i][0] + basis[j][0]
 
 
 def test_located_triangle_belongs_to_tiling():
@@ -208,7 +213,7 @@ def test_located_triangle_belongs_to_tiling():
         tiles = {t.vertices for t in iter_triangles(algo, n)}
         for theta in ((Fraction(1, 7), Fraction(2, 7)), (Fraction(0), Fraction(1))):
             chain = locate(algo, theta, n)
-            assert chain.steps[-1].basis.vectors in tiles
+            assert chain.steps[-1].triangle.vertices in tiles
 
 
 from hypothesis import given, settings, strategies as st
@@ -228,5 +233,5 @@ def test_locate_chain_properties(q1, q2, n1, n2, algo):
     assert len(chain.steps) == 6
     for step in chain.steps:
         assert min(step.coefficients) >= 0
-        assert step.basis.is_unimodular()
-        assert step.basis.triangle().contains(theta)
+        assert abs(det3(*step.triangle.vertices)) == 1
+        assert step.triangle.contains(theta)
