@@ -18,7 +18,8 @@ R = TypeVar("R")
 
 def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], jobs: int = 1) -> List[R]:
     """[fn(t) for t in tasks] on up to `jobs` processes, never more than
-    there are tasks or CPUs."""
+    there are tasks or CPUs.  Workers take one task at a time, so a run
+    of expensive neighbours is spread rather than batched."""
     tasks = list(tasks)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
@@ -30,4 +31,4 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], jobs: int = 1) -> List[R
     except (ImportError, ValueError):
         return [fn(t) for t in tasks]
     with ctx.Pool(workers) as pool:
-        return pool.map(fn, tasks)
+        return pool.map(fn, tasks, chunksize=1)

@@ -5,6 +5,14 @@ and an edge wherever two vectors share a step-n basis.  Counts are
 measured from the actual graph, never from the closed forms; the closed
 forms live in ``expected_counts`` so the two can be compared.
 
+The graph is built in subtrees, one task per triangle at a fixed split
+depth.  ``graph_at`` unions the tasks' edge sets into the whole graph,
+which ``census`` counts.  ``degrees_at`` has each task reduce its own
+edges before returning: vertices strictly inside its root triangle get
+their final degree there, and only the rim (the edges along the root's
+sides, the sole ones two tasks can share) is returned as a set; the
+tests compare that reduction against ``graph_at``.
+
 Degrees stabilize once a vertex exists (algorithm A) or one step after
 it appears (algorithm B), and the stable degree is fixed by how the
 vertex was created: triangle centers get 3, mediants of boundary edges
@@ -22,7 +30,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .core import CapacityError, InvalidInputError, LatticeVector, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
@@ -58,55 +67,111 @@ def _check_capacity(algo: str, n: int) -> None:
         raise CapacityError(f"census depth {n} exceeds capacity {cap} for algorithm {algo!r}")
 
 
-def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Set[Vec], Set[Tuple[Vec, Vec]]]:
-    algo, root, levels = args
-    verts: Set[Vec] = set()
-    edges: Set[Tuple[Vec, Vec]] = set()
-    kids = child_rule(algo)
-    for basis, d in descend((root,), lambda b, d: kids(*b) if d < levels else ()):
-        if d == levels:
-            g1, g2, g3 = basis
-            verts.add(g1)
-            verts.add(g2)
-            verts.add(g3)
-            edges.add((g1, g2) if g1 < g2 else (g2, g1))
-            edges.add((g1, g3) if g1 < g3 else (g3, g1))
-            edges.add((g2, g3) if g2 < g3 else (g3, g2))
-    return verts, edges
+Edge = Tuple[Vec, Vec]
 
 
-def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Tuple[Vec, Vec]]]:
-    """Vertex and edge sets of the depth-n triangulation graph."""
+def _tasks(algo: str, n: int) -> List[Tuple[str, RawBasis, int]]:
+    # One task per root triangle at a fixed split depth: the list depends
+    # only on (algo, n), never on the worker count.
     _check_capacity(algo, n)
     split = min(n, 2 if algo == ALGO_A else 4)
-    tasks = [(algo, root, n - split) for root in iter_bases_at(algo, split)]
+    return [(algo, root, n - split) for root in iter_bases_at(algo, split)]
+
+
+def _subtree_edges(args: Tuple[str, RawBasis, int]) -> Set[Edge]:
+    # Edges of the leaves `levels` steps below `root`, each as a sorted
+    # pair.  The last level is expanded here rather than walked, which
+    # spares one descent step per leaf.
+    algo, root, levels = args
+    kids = child_rule(algo)
+    if levels == 0:
+        leaves: Iterable[RawBasis] = (root,)
+    else:
+        last = levels - 1
+        parents = descend((root,), lambda b, d: kids(*b) if d < last else ())
+        leaves = chain.from_iterable(kids(*b) for b, d in parents if d == last)
+    edges: Set[Edge] = set()
+    add = edges.add
+    for g1, g2, g3 in leaves:
+        add((g1, g2) if g1 < g2 else (g2, g1))
+        add((g1, g3) if g1 < g3 else (g3, g1))
+        add((g2, g3) if g2 < g3 else (g3, g2))
+    return edges
+
+
+def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Edge]]:
+    """Vertex and edge sets of the depth-n triangulation graph.
+
+    Builds the whole graph in memory; ``degrees_at`` reduces each
+    subtree instead, and the tests compare it against this.  Every
+    vertex lies on an edge.
+    """
     verts: Set[Vec] = set()
-    edges: Set[Tuple[Vec, Vec]] = set()
-    for tverts, tedges in run_tasks(_graph_task, tasks, jobs):
-        verts |= tverts
+    edges: Set[Edge] = set()
+    for tedges in run_tasks(_subtree_edges, _tasks(algo, n), jobs):
+        verts.update(chain.from_iterable(tedges))
         edges |= tedges
     return verts, edges
 
 
-def _degree_counts(edges: Set[Tuple[Vec, Vec]]) -> Dict[Vec, int]:
-    deg: Counter = Counter()
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return dict(deg)
+def _cross(u: Vec, v: Vec) -> Vec:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Dict[Vec, int], Dict[Vec, int], Set[Edge]]:
+    """One subtree's graph reduced to ({interior vertex: degree},
+    {rim vertex: non-rim edges at it}, rim edges).
+
+    The root (g1, g2, g3) is unimodular, so a vertex lies on the side
+    opposite g_k exactly when its dot product with g_i x g_j is 0.  A
+    vertex on no side is strictly inside the root: every edge at it is
+    this task's, so its degree is final.  An edge is on the rim when both
+    ends lie on one side; only rim edges can be shared with another
+    task, since any other edge runs through the root's interior.
+    """
+    edges = _subtree_edges(args)
+    g1, g2, g3 = args[1]
+    deg = Counter(chain.from_iterable(edges))
+    normals = (_cross(g2, g3), _cross(g3, g1), _cross(g1, g2))
+    sides = [{v for v in deg if a * v[0] + b * v[1] + c * v[2] == 0} for a, b, c in normals]
+    on_rim = sides[0] | sides[1] | sides[2]
+    rim = {e for e in edges if e[0] in on_rim and any(e[0] in s and e[1] in s for s in sides)}
+    interior = {v: d for v, d in deg.items() if v not in on_rim}
+    partial = {v: deg[v] for v in on_rim}
+    for u, v in rim:
+        partial[u] -= 1
+        partial[v] -= 1
+    return interior, partial, rim
 
 
 def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     """Vertex degree map of the depth-n graph.  Every vertex lies on an
-    edge, so the keys are exactly the graph's vertices."""
-    _, edges = graph_at(algo, n, jobs=jobs)
-    return _degree_counts(edges)
+    edge, so the keys are exactly the graph's vertices.
+
+    Equal to counting the edges of ``graph_at(algo, n)`` per endpoint,
+    but each subtree task ships only its rim edges and degree counts:
+    the parent joins the degree maps and adds one to both ends of each
+    distinct rim edge.
+    """
+    deg: Dict[Vec, int] = {}
+    rim: Set[Edge] = set()
+    for interior, partial, trim in run_tasks(_graph_task, _tasks(algo, n), jobs):
+        deg.update(interior)
+        for v, d in partial.items():
+            deg[v] = deg.get(v, 0) + d
+        rim |= trim
+    for u, v in rim:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
 
 
 def census(algo: str, n: int, jobs: int = 1) -> Census:
     """Measured face, edge, and vertex counts plus the degree histogram."""
+    # Counted from the whole graph, not the rim reduction: the benchmark's
+    # tracer (perfbench/tracer.py) reads the graph size off graph_at.
     verts, edges = graph_at(algo, n, jobs=jobs)
-    hist = Counter(_degree_counts(edges).values())
+    hist = Counter(Counter(chain.from_iterable(edges)).values())
     return Census(algo, n, face_count(algo, n), len(edges), len(verts), dict(sorted(hist.items())))
 
 

@@ -13,6 +13,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -483,12 +484,13 @@ def _check_degree_set(algo: str, limit: int) -> CheckReport:
     depth = min(limit, _CENSUS_CHECK_CAP[algo])
     params = {"depth": depth, "table_qmax": 60}
     checked = 0
-    table = stable_degree_table(algo, 60)
-    older = degrees_at(algo, 0)
-    for n in range(1, depth + 1):
-        deg = degrees_at(algo, n)
-        stable, frontier = split_degrees(algo, deg, older)
-        older = deg
+    maps = (degrees_at(algo, n) for n in range(depth + 1))
+    splits = [split_degrees(algo, deg, older) for older, deg in pairwise(maps)]
+    # Grades are fixed at creation, so a table cut at the largest stable
+    # denominator grades the compared vectors as the qmax-60 table does.
+    largest = max((v.x for stable, _ in splits for v in stable), default=0)
+    table = stable_degree_table(algo, min(60, largest)) if largest else {}
+    for n, (stable, frontier) in enumerate(splits, 1):
         allowed = {2, 3, 5, 8} if algo == ALGO_A else {3, 5, 8}
         for v, d in stable.items():
             checked += 1

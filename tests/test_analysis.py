@@ -8,6 +8,7 @@ import pytest
 
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
 from farey_brocot.census import stable_degree_table
+from farey_brocot.tiling import LOCATE_DEPTH_CAP, locate
 from farey_brocot.analysis import (
     MAX_DEGREE,
     PRIMITIVE_DENSITY,
@@ -285,6 +286,13 @@ def test_exact_classical_order_one_budget():
     _raises_fast(exact_unit_sum, "classical", 21)
     # Without --exact, depth 21 falls back to the float sweep.
     assert exact_mode("classical", 20, 1) and not exact_mode("classical", 21, 1)
+
+
+def test_locate_capacity_raises_before_work():
+    point = (Fraction(3, 7), Fraction(2, 9))
+    _raises_fast(locate, "a", point, LOCATE_DEPTH_CAP + 1)
+    _raises_fast(locate, "b", point, 10**7)
+    assert len(locate("a", point, 400).steps) == 401
 
 
 def test_classical_sweep_capacity_raises_before_work():

@@ -5,11 +5,14 @@ import pytest
 
 from farey_brocot.core import CapacityError, LatticeVector
 from farey_brocot.census import (
+    _graph_task,
+    _tasks,
     census,
     degree_counts,
     degrees_at,
     expected_counts,
     expected_degree_histogram_a,
+    graph_at,
     split_degrees,
     stable_degree_table,
     stable_degrees,
@@ -51,6 +54,44 @@ def test_capacity_errors():
         census("a", 9)
     with pytest.raises(CapacityError):
         census("b", 21)
+
+
+def _whole_graph(algo, n):
+    # the oracle: the depth-n graph built in one piece, degrees counted
+    # per edge endpoint
+    verts, edges = graph_at(algo, n)
+    deg = Counter()
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return verts, edges, dict(deg)
+
+
+REDUCED_CASES = [("a", n, jobs) for n in range(6) for jobs in (1, 2)]
+REDUCED_CASES += [("b", n, jobs) for n in range(15) for jobs in (1, 2)]
+REDUCED_CASES += [("a", 6, 2), ("b", 16, 2)]
+
+
+@pytest.mark.parametrize("algo,n,jobs", REDUCED_CASES)
+def test_reduced_graph_matches_the_whole_graph(algo, n, jobs):
+    verts, edges, deg = _whole_graph(algo, n)
+    assert degrees_at(algo, n, jobs=jobs) == deg
+    c = census(algo, n, jobs=jobs)
+    assert (c.edges, c.vertices) == (len(edges), len(verts))
+    assert c.degree_histogram == dict(sorted(Counter(deg.values()).items()))
+
+
+@pytest.mark.parametrize("algo,n", [("a", n) for n in range(6)] + [("b", n) for n in range(15)])
+def test_task_summaries_count_each_edge_once(algo, n):
+    summaries = [_graph_task(t) for t in _tasks(algo, n)]
+    rim = set().union(*(trim for _, _, trim in summaries))
+    # a non-rim edge has both ends in its task's interior and partial counts
+    ends = sum(sum(interior.values()) + sum(partial.values()) for interior, partial, _ in summaries)
+    assert ends % 2 == 0
+    assert ends // 2 + len(rim) == len(graph_at(algo, n)[1])
+    # interior vertices belong to one task only
+    interiors = [v for interior, _, _ in summaries for v in interior]
+    assert len(interiors) == len(set(interiors))
 
 
 def test_stable_degrees_a_examples():

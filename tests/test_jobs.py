@@ -15,7 +15,7 @@ class _FakePool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=None):
         return [fn(t) for t in tasks]
 
 

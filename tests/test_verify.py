@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from farey_brocot.core import InvalidInputError
@@ -49,3 +52,21 @@ def test_contraction_sampler_clean():
     checked, witness = sample_contraction(chains=50, depth=8)
     assert witness is None
     assert checked == 50 * 8
+
+
+# SHA-256 of the degree-set report (sorted-key JSON), recorded while the
+# check still graded against the whole qmax-60 table.
+PINNED_DEGREE_SET_SHA256 = {
+    ("a", 3): "7ef2e5c01052e87d2454ce5cf211614043c1cd1239a1a5b011203500ff32ce04",
+    ("a", 5): "8982df54643fe2eb45be1ab3df0c69e6c2b3cf8c315c6fba9e32adf79296e1e7",
+    ("b", 12): "8b023af4280efcf3ffbcfc01a1ca60a7ef90b1da3a8c07a50be11fc1f8bae9f4",
+    ("b", 16): "b0a4d5059e829d709fce5c6ec8f42d82710c31bedb68479d56d266506f1368c0",
+}
+
+
+@pytest.mark.parametrize("algo,depth", sorted(PINNED_DEGREE_SET_SHA256))
+def test_degree_set_report_pinned(algo, depth):
+    report = run_checks(algo, depth, ["degree-set"])[0].to_dict()
+    assert report["status"] == PASS and report["params"]["table_qmax"] == 60
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DEGREE_SET_SHA256[algo, depth]
