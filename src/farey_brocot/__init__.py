@@ -15,16 +15,9 @@ from .core import (
     LatticeVector,
     Triangle,
     det3,
-    diameter,
     shoelace_area,
-    triangle_area,
 )
-from .subdivision import (
-    ALGO_A,
-    ALGO_B,
-    ALGO_CLASSICAL,
-    code_a_from_chain,
-)
+from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
 from .tiling import (
     DescentChain,
     brocot_level,
@@ -33,7 +26,7 @@ from .tiling import (
     locate,
     vertices_up_to,
 )
-from .census import Census, census, expected_counts, stable_degree_table, stable_degrees
+from .census import Census, census, expected_counts, stable_degree_table
 from .analysis import (
     MomentValue,
     SeriesValue,
@@ -79,10 +72,8 @@ __all__ = [
     "classical_L_direct",
     "classical_moment",
     "classical_moment_sweep",
-    "code_a_from_chain",
     "cumulative_moment_check",
     "det3",
-    "diameter",
     "dirichlet_L",
     "dirichlet_L_auto",
     "exact_unit_sum",
@@ -98,8 +89,6 @@ __all__ = [
     "run_checks",
     "shoelace_area",
     "stable_degree_table",
-    "stable_degrees",
-    "triangle_area",
     "vertices_up_to",
     "zeta",
 ]

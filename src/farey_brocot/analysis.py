@@ -99,8 +99,8 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
     s = float(s)
     if s <= 1:
         raise DomainError(f"zeta series diverges for s = {s}")
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise InvalidInputError(f"tolerance must be positive, got {tol}")
     key = (s, tol)
     cached = _zeta_cache.get(key)
     if cached is not None:

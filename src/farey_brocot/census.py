@@ -219,14 +219,6 @@ def split_degrees(
     return stable, frontier
 
 
-def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
-    """Degrees that already equal their value in the infinite graph."""
-    if n < 1:
-        raise InvalidInputError("stable degrees need depth >= 1")
-    older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
-    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
-
-
 # --- creation-type degree grading ------------------------------------------
 
 

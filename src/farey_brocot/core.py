@@ -1,10 +1,11 @@
 """Exact integer and rational primitives for Farey-Brocot partitions.
 
 Everything here is exact: lattice vectors are primitive integer triples
-(x, y1, y2) with arbitrary-precision components, projected points are
-pairs of ``fractions.Fraction``, and all geometric predicates are
-sign-of-determinant tests on rationals.  Floating point enters only in
-``diameter`` (a final square root) and is never used for decisions.
+(x, y1, y2) with arbitrary-precision components, and projected points
+are pairs of ``fractions.Fraction``.  Geometric decisions are signs of
+integer determinants of lattice vectors: a point lies in a cell exactly
+when its vector has nonnegative integer coordinates in the cell's basis
+(``coordinates``).
 
 The engines step raw integer triples; the one object type for a cell is
 ``Triangle``, a unimodular basis of three ``LatticeVector`` values with
@@ -62,6 +63,28 @@ def det3(g1: Vec, g2: Vec, g3: Vec) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def point_vector(point: Point) -> Vec:
+    """The vector (q, a1, a2) of the rational point (a1/q, a2/q), with q
+    the least common denominator."""
+    t1, t2 = Fraction(point[0]), Fraction(point[1])
+    q = math.lcm(t1.denominator, t2.denominator)
+    return q, int(t1 * q), int(t2 * q)
+
+
+def coordinates(basis: Tuple[Vec, Vec, Vec], target: Vec) -> Tuple[int, int, int]:
+    """Integer coordinates of `target` in a basis of determinant +-1.
+
+    This is the containment rule: the point of `target` lies in the
+    closed triangle of the basis exactly when all three are >= 0, since
+    its barycentric weights are the coordinates times positive
+    denominator ratios.  For any nonsingular basis the signs are still
+    those of the coordinates.
+    """
+    g1, g2, g3 = basis
+    d = det3(g1, g2, g3)
+    return det3(target, g2, g3) * d, det3(g1, target, g3) * d, det3(g1, g2, target) * d
+
+
 @dataclass(frozen=True)
 class Triangle:
     """A lattice basis (three vectors, determinant +-1) and its projection
@@ -83,26 +106,20 @@ class Triangle:
         return tuple(v[0] for v in self.vertices)
 
     def area(self) -> Fraction:
-        return triangle_area(self)
+        """1/(2 q(a) q(b) q(c)), equal to the shoelace area for a
+        unimodular basis (checked by the verify suite)."""
+        return Fraction(1, 2 * math.prod(self.denominators()))
 
     def shoelace_area(self) -> Fraction:
         return shoelace_area(self.points())
 
     def diameter(self) -> float:
-        return diameter(self)
+        """Largest vertex distance; the only rounding is the final sqrt."""
+        return math.sqrt(diameter_sq(self))
 
-    def contains(self, point: Point, closed: bool = True) -> bool:
-        return point_in_triangle(point, self.points(), closed=closed)
-
-
-def triangle_area(t: Triangle) -> Fraction:
-    """Area 1/(2 q(a) q(b) q(c)) of a triangle cut out by a lattice basis.
-
-    Valid only for triangles arising from unimodular bases; for those it
-    agrees exactly with the shoelace value (checked in the verify suite).
-    """
-    qa, qb, qc = t.denominators()
-    return Fraction(1, 2 * qa * qb * qc)
+    def contains(self, point: Point) -> bool:
+        """Whether the closed triangle holds the rational point."""
+        return min(coordinates(self.vertices, point_vector(point))) >= 0
 
 
 def shoelace_area(points: Sequence[Point]) -> Fraction:
@@ -128,61 +145,3 @@ def diameter_sq(t: Triangle) -> Fraction:
     if a == b or a == c or b == c:
         raise InvalidInputError("degenerate triangle: duplicate vertices")
     return max(distance_sq(a, b), distance_sq(a, c), distance_sq(b, c))
-
-
-def diameter(t: Triangle) -> float:
-    """Diameter of the triangle; the only rounding is the final sqrt."""
-    return math.sqrt(diameter_sq(t))
-
-
-def orientation(p: Point, q: Point, r: Point) -> int:
-    """Sign of the cross product (q-p) x (r-p): +1, -1, or 0.  Exact."""
-    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    return (d > 0) - (d < 0)
-
-
-def point_in_triangle(point: Point, tri: Sequence[Point], closed: bool = True) -> bool:
-    """Exact containment test; `closed` includes the boundary."""
-    o1 = orientation(tri[0], tri[1], point)
-    o2 = orientation(tri[1], tri[2], point)
-    o3 = orientation(tri[2], tri[0], point)
-    if closed:
-        return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
-    return (o1 > 0 and o2 > 0 and o3 > 0) or (o1 < 0 and o2 < 0 and o3 < 0)
-
-
-def convex_clip(subject: Sequence[Point], clip: Sequence[Point]) -> list:
-    """Intersection polygon of two convex polygons (Sutherland-Hodgman).
-
-    All arithmetic on Fractions, so boundary-touching cases are exact.
-    Returns a possibly empty vertex list.
-    """
-    if orientation(*clip[:3]) < 0:
-        clip = list(reversed(clip))
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        a, b = clip[i], clip[(i + 1) % n]
-        if not output:
-            return []
-        inp, output = output, []
-        prev = inp[-1]
-        prev_side = orientation(a, b, prev)
-        for cur in inp:
-            side = orientation(a, b, cur)
-            if side >= 0:
-                if prev_side < 0:
-                    output.append(_line_intersection(a, b, prev, cur))
-                output.append(cur)
-            elif prev_side > 0:
-                output.append(_line_intersection(a, b, prev, cur))
-            prev, prev_side = cur, side
-    return output
-
-
-def _line_intersection(a: Point, b: Point, p: Point, q: Point) -> Point:
-    # Intersection of line (a,b) with segment (p,q); caller guarantees crossing.
-    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    d2 = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
-    t = Fraction(d1, d1 - d2)
-    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))

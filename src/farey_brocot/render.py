@@ -45,6 +45,8 @@ def render_svg(
         raise InvalidInputError("depth must be nonnegative")
     if depth > cap:
         raise CapacityError(f"render depth {depth} exceeds capacity {cap} for {algo!r}")
+    if label_cap < 0:
+        raise InvalidInputError(f"label cap must be nonnegative, got {label_cap}")
     if algo == ALGO_CLASSICAL:
         return _render_classical(depth, labels, label_cap, size, margin)
     return _render_square(algo, depth, labels, label_cap, size, margin)

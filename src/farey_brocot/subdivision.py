@@ -10,9 +10,9 @@ unit interval.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
-from .core import InvalidInputError, LatticeVector, Triangle, Vec, vec_add
+from .core import InvalidInputError, Vec, vec_add
 
 ALGO_A = "a"
 ALGO_B = "b"
@@ -104,9 +104,7 @@ def min_new_denominator(algo: str, basis: Tuple[Vec, Vec, Vec]) -> int:
 #
 # Algorithm A attaches to each triangle the run-length sequence
 # [t_1, ..., t_r] of consecutive-step streaks at a common vertex, summing
-# to the depth.  During descent this is tracked in O(1) per step; the
-# chain-based computation below is the independent definition used to
-# cross-check the incremental one.
+# to the depth.  During descent this is tracked in O(1) per step.
 
 def streak_step_a(rule: int, last_corner: bool) -> Tuple[bool, bool]:
     """(whether the step extends the open streak, whether the child keeps
@@ -126,47 +124,3 @@ def extend_code_a(code: Tuple[int, ...], rule: int, last_corner: bool) -> Tuple[
     if extends:
         return code[:-1] + (code[-1] + 1,), corner
     return code + (1,), corner
-
-
-def code_a_from_chain(chain: Sequence[Triangle]) -> Tuple[int, ...]:
-    """Run-length code of a nested chain of algorithm-A triangles.
-
-    The chain must run from a depth-0 triangle down to the triangle of
-    interest, each element a child of the previous one.
-    """
-    _validate_chain_a(chain)
-    code: List[int] = []
-    i = len(chain) - 1
-    while i > 0:
-        t = _streak_length(chain, i)
-        code.append(t)
-        i -= t
-    code.reverse()
-    return tuple(code)
-
-
-def _streak_length(chain: Sequence[Triangle], idx: int) -> int:
-    common = set(chain[idx].vertices) & set(chain[idx - 1].vertices)
-    if not common:
-        return 1
-    t = 1
-    while idx - t - 1 >= 0:
-        nxt = common & set(chain[idx - t - 1].vertices)
-        if not nxt:
-            break
-        common = nxt
-        t += 1
-    return t
-
-
-def _validate_chain_a(chain: Sequence[Triangle]) -> None:
-    if not chain:
-        raise InvalidInputError("empty chain")
-    for parent, child in zip(chain, chain[1:]):
-        wanted = frozenset(child.vertices)
-        options = child_vectors_a(*parent.vertices)
-        if not any(frozenset(LatticeVector(*v) for v in ch) == wanted for ch in options):
-            raise InvalidInputError(
-                f"broken chain: {child.vertices} is not a child of {parent.vertices}"
-            )
-

@@ -13,7 +13,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,8 @@ from .core import (
     Point,
     Triangle,
     Vec,
-    det3,
+    coordinates,
+    point_vector,
 )
 from .subdivision import (
     ALGO_A,
@@ -173,16 +173,6 @@ class DescentChain:
         return None
 
 
-def _coefficients(basis: RawBasis, target: Vec) -> Tuple[int, int, int]:
-    # Integer coordinates of `target` in the basis; valid because det = +-1.
-    g1, g2, g3 = basis
-    d = det3(g1, g2, g3)
-    c1 = det3(target, g2, g3) * d
-    c2 = det3(g1, target, g3) * d
-    c3 = det3(g1, g2, target) * d
-    return c1, c2, c3
-
-
 def locate(algo: str, theta: Point, n: int) -> DescentChain:
     """Descend n steps through the nested triangles containing theta.
 
@@ -197,15 +187,15 @@ def locate(algo: str, theta: Point, n: int) -> DescentChain:
     t1, t2 = Fraction(theta[0]), Fraction(theta[1])
     if not (0 <= t1 <= 1 and 0 <= t2 <= 1):
         raise InvalidInputError(f"point ({t1}, {t2}) outside the unit square")
-    den = math.lcm(t1.denominator, t2.denominator)
-    target: Vec = (den, int(t1 * den), int(t2 * den))
+    target = point_vector((t1, t2))
+    den = target[0]
 
     kids = child_rule(algo)
     steps: List[DescentStep] = []
     candidates = initial_vectors(algo)
     for depth in range(n + 1):
         for idx, basis in enumerate(candidates):
-            coeffs = _coefficients(basis, target)
+            coeffs = coordinates(basis, target)
             if min(coeffs) >= 0:
                 tri = Triangle(tuple(LatticeVector(*v) for v in basis), depth, algo)
                 steps.append(DescentStep(tri, idx, tuple(Fraction(c, den) for c in coeffs)))

@@ -20,7 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import (
     InvalidInputError,
     LatticeVector,
-    convex_clip,
+    Vec,
+    coordinates,
     det3,
     diameter_sq,
     shoelace_area,
@@ -28,6 +29,7 @@ from .core import (
 )
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_rule, child_vectors_a, child_vectors_b
 from .census import (
+    DEGREE_SET,
     census,
     degrees_at,
     expected_counts,
@@ -131,27 +133,43 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
             if child_area != parent_area:
                 return _fail(name, _CLAIM_REGULAR, algo, params, checked,
                              {"depth": d, "triple": [p, q, r]})
-    # exact rational geometry on every parent of a cell at depth <= geometry_depth
+    # exact lattice geometry on every parent of a cell at depth <= geometry_depth
     parents = iter_bases(algo, geometry_depth - 1) if geometry_depth else ()
     for basis, d in parents:
         checked += 1
-        parent_pts = [_pt(v) for v in basis]
-        children = [[_pt(v) for v in ch] for ch in kids(*basis)]
-        for pts in children:
-            inter = convex_clip(pts, parent_pts)
-            if not inter or shoelace_area(inter) != shoelace_area(pts):
+        children = kids(*basis)
+        for ch in children:
+            if any(min(coordinates(basis, v)) < 0 for v in ch):
                 return _fail(name, _CLAIM_REGULAR, algo, params, checked,
                              {"depth": d, "problem": "child escapes parent",
                               "basis": [list(v) for v in basis]})
         for i in range(len(children)):
             for j in range(i + 1, len(children)):
-                inter = convex_clip(children[i], children[j])
-                if inter and shoelace_area(inter) != 0:
+                if not disjoint_interiors(children[i], children[j]):
                     return _fail(name, _CLAIM_REGULAR, algo, params, checked,
                                  {"depth": d, "problem": "overlapping interiors",
                                   "children": [i, j],
                                   "basis": [list(v) for v in basis]})
     return _pass(name, _CLAIM_REGULAR, algo, params, checked)
+
+
+def disjoint_interiors(s: Sequence[Vec], t: Sequence[Vec]) -> bool:
+    """Whether two triangles, given by vertex vectors with positive first
+    components, have disjoint interiors.
+
+    Separating axes: two triangles have disjoint interiors exactly when
+    one of their six edge lines (u, v) has the third vertex w strictly on
+    one side and the whole other triangle on the closed opposite side.
+    det3(u, v, x) is the signed area of the projected points times
+    positive denominators, so every sign is exact.  A degenerate
+    triangle (side 0) has no interior and passes at once.
+    """
+    for own, other in ((s, t), (t, s)):
+        for u, v, w in ((own[0], own[1], own[2]), (own[1], own[2], own[0]), (own[2], own[0], own[1])):
+            side = det3(u, v, w)
+            if all(det3(u, v, x) * side <= 0 for x in other):
+                return True
+    return False
 
 
 def _pt(v):
@@ -491,10 +509,9 @@ def _check_degree_set(algo: str, limit: int) -> CheckReport:
     largest = max((v.x for stable, _ in splits for v in stable), default=0)
     table = stable_degree_table(algo, min(60, largest)) if largest else {}
     for n, (stable, frontier) in enumerate(splits, 1):
-        allowed = {2, 3, 5, 8} if algo == ALGO_A else {3, 5, 8}
         for v, d in stable.items():
             checked += 1
-            if d not in allowed:
+            if d not in DEGREE_SET[algo]:
                 return _fail(name, _CLAIM_DEGSET, algo, params, checked,
                              {"depth": n, "vertex": list(v), "degree": d})
             if v.x <= 60 and table[v] != d:

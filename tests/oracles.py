@@ -1,0 +1,150 @@
+"""Slow, independent definitions that the tests hold the package against.
+
+* Rational plane geometry (``orientation``, ``point_in_triangle``,
+  ``convex_clip``): the oracle for the integer determinant predicates
+  ``core.coordinates`` and ``verify.disjoint_interiors``.
+* ``code_a_from_chain``: the run-length code read off a whole chain of
+  nested triangles, the oracle for the incremental ``extend_code_a``.
+* ``stable_degrees``: degrees measured on explicit graphs, the oracle
+  for the creation-type grading of ``stable_degree_table``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Dict, List, Sequence, Tuple
+
+from farey_brocot.census import degrees_at, split_degrees
+from farey_brocot.core import InvalidInputError, LatticeVector, Point, Triangle, Vec, shoelace_area
+from farey_brocot.subdivision import ALGO_B, child_vectors_a
+
+
+# --- rational geometry -----------------------------------------------------
+
+
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Sign of the cross product (q-p) x (r-p): +1, -1, or 0.  Exact."""
+    d = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    return (d > 0) - (d < 0)
+
+
+def point_in_triangle(point: Point, tri: Sequence[Point], closed: bool = True) -> bool:
+    """Exact containment test; `closed` includes the boundary."""
+    o1 = orientation(tri[0], tri[1], point)
+    o2 = orientation(tri[1], tri[2], point)
+    o3 = orientation(tri[2], tri[0], point)
+    if closed:
+        return (o1 >= 0 and o2 >= 0 and o3 >= 0) or (o1 <= 0 and o2 <= 0 and o3 <= 0)
+    return (o1 > 0 and o2 > 0 and o3 > 0) or (o1 < 0 and o2 < 0 and o3 < 0)
+
+
+def convex_clip(subject: Sequence[Point], clip: Sequence[Point]) -> list:
+    """Intersection polygon of two convex polygons (Sutherland-Hodgman).
+
+    All arithmetic on Fractions, so boundary-touching cases are exact.
+    Returns a possibly empty vertex list.
+    """
+    if orientation(*clip[:3]) < 0:
+        clip = list(reversed(clip))
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        a, b = clip[i], clip[(i + 1) % n]
+        if not output:
+            return []
+        inp, output = output, []
+        prev = inp[-1]
+        prev_side = orientation(a, b, prev)
+        for cur in inp:
+            side = orientation(a, b, cur)
+            if side >= 0:
+                if prev_side < 0:
+                    output.append(_line_intersection(a, b, prev, cur))
+                output.append(cur)
+            elif prev_side > 0:
+                output.append(_line_intersection(a, b, prev, cur))
+            prev, prev_side = cur, side
+    return output
+
+
+def _line_intersection(a: Point, b: Point, p: Point, q: Point) -> Point:
+    # Intersection of line (a,b) with segment (p,q); caller guarantees crossing.
+    d1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+    d2 = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+    t = Fraction(d1, d1 - d2)
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _points(vectors: Sequence[Vec]) -> List[Point]:
+    return [LatticeVector(*v).point() for v in vectors]
+
+
+def clip_inside(inner: Sequence[Vec], outer: Sequence[Vec]) -> bool:
+    """Whether triangle `inner` lies in triangle `outer` (vertex vectors):
+    clipping it to `outer` keeps its whole area."""
+    clipped = convex_clip(_points(inner), _points(outer))
+    return bool(clipped) and shoelace_area(clipped) == shoelace_area(_points(inner))
+
+
+def clip_disjoint(s: Sequence[Vec], t: Sequence[Vec]) -> bool:
+    """Whether two triangles (vertex vectors) have disjoint interiors:
+    their intersection has no area."""
+    clipped = convex_clip(_points(s), _points(t))
+    return not clipped or shoelace_area(clipped) == 0
+
+
+# --- run-length codes -------------------------------------------------------
+
+
+def code_a_from_chain(chain: Sequence[Triangle]) -> Tuple[int, ...]:
+    """Run-length code of a nested chain of algorithm-A triangles.
+
+    The chain must run from a depth-0 triangle down to the triangle of
+    interest, each element a child of the previous one.
+    """
+    _validate_chain_a(chain)
+    code: List[int] = []
+    i = len(chain) - 1
+    while i > 0:
+        t = _streak_length(chain, i)
+        code.append(t)
+        i -= t
+    code.reverse()
+    return tuple(code)
+
+
+def _streak_length(chain: Sequence[Triangle], idx: int) -> int:
+    common = set(chain[idx].vertices) & set(chain[idx - 1].vertices)
+    if not common:
+        return 1
+    t = 1
+    while idx - t - 1 >= 0:
+        nxt = common & set(chain[idx - t - 1].vertices)
+        if not nxt:
+            break
+        common = nxt
+        t += 1
+    return t
+
+
+def _validate_chain_a(chain: Sequence[Triangle]) -> None:
+    if not chain:
+        raise InvalidInputError("empty chain")
+    for parent, child in zip(chain, chain[1:]):
+        wanted = frozenset(child.vertices)
+        options = child_vectors_a(*parent.vertices)
+        if not any(frozenset(LatticeVector(*v) for v in ch) == wanted for ch in options):
+            raise InvalidInputError(
+                f"broken chain: {child.vertices} is not a child of {parent.vertices}"
+            )
+
+
+# --- measured degrees -------------------------------------------------------
+
+
+def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
+    """Degrees that already equal their value in the infinite graph."""
+    if n < 1:
+        raise InvalidInputError("stable degrees need depth >= 1")
+    older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
+    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]

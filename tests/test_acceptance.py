@@ -34,7 +34,6 @@ from farey_brocot.census import (
     expected_degree_histogram_a,
     graph_at,
 )
-from farey_brocot.core import diameter
 from farey_brocot.tiling import iter_triangles, locate, vertices_up_to
 from farey_brocot.verify import run_checks, sample_contraction
 
@@ -156,7 +155,7 @@ def test_criterion_07_contraction():
         q2 = rng.randint(1, 100)
         theta = (Fraction(rng.randint(0, q1), q1), Fraction(rng.randint(0, q2), q2))
         tris = locate("a", theta, 12).triangles()
-        diams = [diameter(t) for t in tris]
+        diams = [t.diameter() for t in tris]
         for pos in range(2, 13):
             checked += 1
             assert diams[pos - 1] <= (1 - 1 / pos) * diams[pos - 2] + 1e-12, (

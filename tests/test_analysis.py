@@ -53,6 +53,9 @@ def test_zeta_domain():
         zeta(1.0)
     with pytest.raises(DomainError):
         zeta(0.5)
+    for tol in (0.0, -1e-12, float("nan")):
+        with pytest.raises(InvalidInputError):
+            zeta(4.0, tol)
 
 
 @pytest.mark.parametrize("algo,n", [("a", 0), ("a", 3), ("b", 7), ("b", 12)])

@@ -15,9 +15,10 @@ from farey_brocot.census import (
     graph_at,
     split_degrees,
     stable_degree_table,
-    stable_degrees,
     totients,
 )
+
+from oracles import stable_degrees
 
 
 def test_census_a_spot_values():

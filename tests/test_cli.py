@@ -95,11 +95,22 @@ PINNED_RESULT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_RESULT_SHA256))
-def test_result_pinned_hash(command):
+def result_sha256(command):
     result = payload(run_cli(*command.split()))["result"]
     text = json.dumps(result, sort_keys=True, ensure_ascii=False)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_RESULT_SHA256[command]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RESULT_SHA256))
+def test_result_pinned_hash(command):
+    assert result_sha256(command) == PINNED_RESULT_SHA256[command]
+
+
+def test_geometry_checks_pinned_hash():
+    # Recorded while regular-partition still clipped polygons in Fraction
+    # arithmetic.  Depth 5 reaches geometry depth 4.
+    command = "verify --algo a --depth 5 --checks regular-partition,area-lemma2"
+    assert result_sha256(command) == "b7a509f26417f292e642905335814869a9c7810f57c04f4dfdb85091efb30bc1"
 
 
 def test_locate_chain_payload():
@@ -135,6 +146,21 @@ def test_capacity_error_exit_code():
     proc = run_cli("census", "--algo", "a", "--depth", "99", check=False)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["error"]["type"] == "capacity"
+
+
+def test_nan_tolerance_rejected():
+    proc = run_cli("dirichlet", "--algo", "classical", "--beta", "4", "--tolerance", "nan", check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+
+
+def test_negative_label_cap_rejected(tmp_path):
+    out = tmp_path / "t.svg"
+    proc = run_cli("render", "--algo", "a", "--depth", "2", "--labels", "--label-cap", "-3",
+                   "--out", str(out), check=False)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
+    assert not out.exists()
 
 
 def test_usage_error_exit_code():

@@ -2,20 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from farey_brocot.core import (
     InvalidInputError,
     LatticeVector,
     Triangle,
-    convex_clip,
+    coordinates,
     det3,
-    diameter,
-    point_in_triangle,
+    point_vector,
     shoelace_area,
-    triangle_area,
     vec_add,
 )
+
+from farey_brocot.verify import disjoint_interiors
+
+from oracles import clip_disjoint, clip_inside, convex_clip, point_in_triangle
 
 
 def _mediant(u, v):
@@ -50,9 +52,9 @@ def _tri(*vecs, depth=0, algo="a"):
 
 
 def test_area_examples():
-    assert triangle_area(_tri((1, 0, 0), (1, 1, 0), (1, 0, 1))) == Fraction(1, 2)
-    assert triangle_area(_tri((1, 0, 0), (2, 1, 0), (2, 0, 1))) == Fraction(1, 8)
-    assert triangle_area(_tri((2, 1, 0), (2, 0, 1), (3, 1, 1))) == Fraction(1, 24)
+    assert _tri((1, 0, 0), (1, 1, 0), (1, 0, 1)).area() == Fraction(1, 2)
+    assert _tri((1, 0, 0), (2, 1, 0), (2, 0, 1)).area() == Fraction(1, 8)
+    assert _tri((2, 1, 0), (2, 0, 1), (3, 1, 1)).area() == Fraction(1, 24)
 
 
 def test_area_matches_shoelace():
@@ -70,7 +72,7 @@ def test_diameter_examples():
 def test_diameter_rejects_duplicates():
     t = _tri((1, 0, 0), (1, 0, 0), (1, 0, 1))
     with pytest.raises(InvalidInputError):
-        diameter(t)
+        t.diameter()
 
 
 def test_point_in_triangle_boundary():
@@ -96,3 +98,63 @@ def test_convex_clip_shared_edge_has_zero_area():
     right = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
     inter = convex_clip(left, right)
     assert not inter or shoelace_area(inter) == 0
+
+
+def test_point_vector_examples():
+    assert point_vector((Fraction(1, 2), Fraction(1, 3))) == (6, 3, 2)
+    assert point_vector((Fraction(0), Fraction(1))) == (1, 0, 1)
+    assert point_vector((Fraction(-1, 4), Fraction(1, 2))) == (4, -1, 2)
+
+
+def test_coordinates_rebuild_the_target():
+    basis = ((2, 1, 0), (2, 0, 1), (3, 1, 1))
+    target = point_vector((Fraction(2, 5), Fraction(1, 5)))
+    c = coordinates(basis, target)
+    assert tuple(sum(ci * g[k] for ci, g in zip(c, basis)) for k in range(3)) == target
+
+
+def test_contains_boundary():
+    t = _tri((1, 0, 0), (1, 1, 0), (1, 0, 1))
+    assert t.contains((Fraction(1, 2), Fraction(1, 2)))
+    assert t.contains((Fraction(0), Fraction(0)))
+    assert t.contains((Fraction(1, 4), Fraction(1, 4)))
+    assert not t.contains((Fraction(1), Fraction(1)))
+    assert not t.contains((Fraction(-1, 9), Fraction(1, 2)))
+
+
+# Small lattice triangles: vertices (x, y1, y2) with 1 <= x <= 4, points
+# in the unit square; not necessarily primitive or unimodular, so the
+# predicates are exercised on their sign semantics as well.
+lattice_vectors = st.integers(1, 4).flatmap(
+    lambda x: st.tuples(st.just(x), st.integers(0, x), st.integers(0, x))
+)
+lattice_triangles = st.tuples(lattice_vectors, lattice_vectors, lattice_vectors).filter(
+    lambda b: det3(*b) != 0
+)
+rational_points = st.integers(1, 12).flatmap(
+    lambda q: st.tuples(st.integers(-2, q + 2), st.integers(-2, q + 2)).map(
+        lambda ab: (Fraction(ab[0], q), Fraction(ab[1], q))
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_triangles, rational_points)
+def test_contains_matches_point_in_triangle(basis, point):
+    t = _tri(*basis)
+    assert t.contains(point) == point_in_triangle(point, t.points())
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_triangles, lattice_triangles)
+def test_inside_matches_clip_oracle(inner, outer):
+    # the child-in-parent test of regular-partition: every vertex of
+    # `inner` has nonnegative coordinates in the basis `outer`
+    inside = all(min(coordinates(outer, v)) >= 0 for v in inner)
+    assert inside == clip_inside(inner, outer)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_triangles, lattice_triangles)
+def test_disjoint_interiors_matches_clip_oracle(s, t):
+    assert disjoint_interiors(s, t) == disjoint_interiors(t, s) == clip_disjoint(s, t)

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from farey_brocot.core import InvalidInputError, det3, point_in_triangle, vec_add
+from farey_brocot.core import InvalidInputError, det3, vec_add
 from farey_brocot.tiling import (
     descend,
     face_count,
@@ -17,6 +17,8 @@ from farey_brocot.tiling import (
     split_q_states,
     vertices_up_to,
 )
+
+from oracles import point_in_triangle
 
 
 def test_enumerate_counts_and_unit_area():

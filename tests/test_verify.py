@@ -2,9 +2,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from farey_brocot.core import InvalidInputError
-from farey_brocot.verify import CHECKS, PASS, SKIP, run_checks, sample_contraction
+from farey_brocot.core import InvalidInputError, coordinates
+from farey_brocot.subdivision import child_rule, initial_vectors
+from farey_brocot.verify import CHECKS, PASS, SKIP, disjoint_interiors, run_checks, sample_contraction
+
+from oracles import clip_disjoint, clip_inside
 
 
 def test_all_checks_pass_a():
@@ -70,3 +74,24 @@ def test_degree_set_report_pinned(algo, depth):
     assert report["status"] == PASS and report["params"]["table_qmax"] == 60
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DEGREE_SET_SHA256[algo, depth]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["a", "b"]), st.integers(0, 1), st.lists(st.integers(0, 5), min_size=1, max_size=5))
+def test_tiling_predicates_match_clip_oracle(algo, root, path):
+    # Cells of a random descent: siblings share edges or vertices but no
+    # interior, and each child lies in its parent, so both outcomes of
+    # both predicates occur.
+    kids = child_rule(algo)
+    basis = initial_vectors(algo)[root]
+    for step in path:
+        children = kids(*basis)
+        for i, ch in enumerate(children):
+            inside = all(min(coordinates(basis, v)) >= 0 for v in ch)
+            assert inside and clip_inside(ch, basis)
+            assert not disjoint_interiors(ch, basis) and not clip_disjoint(ch, basis)
+            for other in children[i + 1:]:
+                assert disjoint_interiors(ch, other) and clip_disjoint(ch, other)
+                escapes = any(min(coordinates(other, v)) < 0 for v in ch)
+                assert escapes and not clip_inside(ch, other)
+        basis = children[step % len(children)]
