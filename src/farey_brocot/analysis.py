@@ -21,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
@@ -82,9 +82,6 @@ def _as_beta(beta: Beta) -> Fraction:
 
 # --- Riemann zeta -----------------------------------------------------------
 
-_zeta_cache: Dict[Tuple[float, float], SeriesValue] = {}
-
-
 ZETA_TERM_CAP = 50_000_000
 
 
@@ -101,10 +98,6 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
         raise DomainError(f"zeta series diverges for s = {s}")
     if not tol > 0:  # also rejects NaN
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
-    key = (s, tol)
-    cached = _zeta_cache.get(key)
-    if cached is not None:
-        return cached
     terms = max(2, math.ceil(tol ** (-1.0 / s)))
     while True:
         if terms > ZETA_TERM_CAP:
@@ -117,9 +110,7 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
             break
         terms *= 2
     partial = fsum(k ** -s for k in range(1, terms + 1))
-    result = SeriesValue(partial + lo_tail, hi_tail - lo_tail, terms)
-    _zeta_cache[key] = result
-    return result
+    return SeriesValue(partial + lo_tail, hi_tail - lo_tail, terms)
 
 
 # --- tiling moments ---------------------------------------------------------

@@ -102,6 +102,8 @@ def _do_moments(args) -> Tuple[Dict, Dict, Dict]:
 
 def _do_dirichlet(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
+    if not args.tolerance > 0:  # also rejects NaN
+        raise InvalidInputError(f"tolerance must be positive, got {args.tolerance}")
     params = {"algo": args.algo, "beta": _frac_str(beta), "qmax": args.qmax}
     if args.algo == ALGO_CLASSICAL:
         sv = analysis.classical_L(beta, tol=args.tolerance)

@@ -17,6 +17,7 @@ from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, initial_vectors
 from .tiling import brocot_level, iter_triangles
 
 RENDER_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 16, ALGO_CLASSICAL: 16}
+_SIZE, _MARGIN = 800, 40  # canvas width in pixels and the blank border inside it
 
 _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -34,8 +35,6 @@ def render_svg(
     depth: int,
     labels: bool = False,
     label_cap: int = 200,
-    size: int = 800,
-    margin: int = 40,
 ) -> str:
     """Render the depth-n tiling; returns the SVG document as a string."""
     cap = RENDER_DEPTH_CAP.get(algo)
@@ -48,21 +47,21 @@ def render_svg(
     if label_cap < 0:
         raise InvalidInputError(f"label cap must be nonnegative, got {label_cap}")
     if algo == ALGO_CLASSICAL:
-        return _render_classical(depth, labels, label_cap, size, margin)
-    return _render_square(algo, depth, labels, label_cap, size, margin)
+        return _render_classical(depth, labels, label_cap)
+    return _render_square(algo, depth, labels, label_cap)
 
 
-def _render_square(algo: str, depth: int, labels: bool, label_cap: int, size: int, margin: int) -> str:
-    span = size - 2 * margin
+def _render_square(algo: str, depth: int, labels: bool, label_cap: int) -> str:
+    span = _SIZE - 2 * _MARGIN
 
     def sx(v: Fraction) -> str:
-        return _fmt(margin + float(v) * span)
+        return _fmt(_MARGIN + float(v) * span)
 
     def sy(v: Fraction) -> str:
-        return _fmt(margin + (1.0 - float(v)) * span)
+        return _fmt(_MARGIN + (1.0 - float(v)) * span)
 
-    out: List[str] = [_HEADER.format(w=size, h=size)]
-    out.append(f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>\n')
+    out: List[str] = [_HEADER.format(w=_SIZE, h=_SIZE)]
+    out.append(f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="white"/>\n')
     out.append('<g fill="none" stroke="#555" stroke-width="0.6">\n')
     verts: Set[Tuple[int, int, int]] = set()
     for tri in iter_triangles(algo, depth):
@@ -88,26 +87,26 @@ def _render_square(algo: str, depth: int, labels: bool, label_cap: int, size: in
     return "".join(out)
 
 
-def _render_classical(depth: int, labels: bool, label_cap: int, size: int, margin: int) -> str:
-    span = size - 2 * margin
+def _render_classical(depth: int, labels: bool, label_cap: int) -> str:
+    span = _SIZE - 2 * _MARGIN
     height = 120
     base_y = height / 2
-    out: List[str] = [_HEADER.format(w=size, h=height)]
-    out.append(f'<rect x="0" y="0" width="{size}" height="{height}" fill="white"/>\n')
+    out: List[str] = [_HEADER.format(w=_SIZE, h=height)]
+    out.append(f'<rect x="0" y="0" width="{_SIZE}" height="{height}" fill="white"/>\n')
     out.append(
-        f'<line x1="{margin}" y1="{_fmt(base_y)}" x2="{size - margin}" '
+        f'<line x1="{_MARGIN}" y1="{_fmt(base_y)}" x2="{_SIZE - _MARGIN}" '
         f'y2="{_fmt(base_y)}" stroke="#000" stroke-width="2"/>\n'
     )
     level = brocot_level(depth)
     out.append('<g stroke="#555" stroke-width="1">\n')
     for f in level:
-        x = _fmt(margin + float(f) * span)
+        x = _fmt(_MARGIN + float(f) * span)
         out.append(f'<line x1="{x}" y1="{_fmt(base_y - 12)}" x2="{x}" y2="{_fmt(base_y + 12)}"/>\n')
     out.append("</g>\n")
     if labels:
         out.append('<g font-family="monospace" font-size="10" fill="#a00">\n')
         for f in level[:label_cap]:
-            x = _fmt(margin + float(f) * span)
+            x = _fmt(_MARGIN + float(f) * span)
             out.append(
                 f'<text x="{x}" y="{_fmt(base_y - 18)}" text-anchor="middle">'
                 f"{f.numerator}/{f.denominator}</text>\n"

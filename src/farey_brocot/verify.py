@@ -1,10 +1,19 @@
 """One harness running every testable lemma and formula check.
 
-Each check is registered with a plain-language statement of the claim
-it tests, so a report doubles as a traceability matrix.  Reports are a
-pure function of (algo, depth_limit, selection): checks clamp the
-requested depth to their own capacity, walk enumerations in canonical
-order, and report the first counterexample found as a witness.
+The registry ``CHECKS`` holds one ``Check`` per lemma or formula: its
+name, a plain-language statement of the claim it tests, the rules the
+claim is stated for, and why it does not apply to any other rule, so a
+report doubles as a traceability matrix.
+
+A check body knows only what it tests.  It clamps the requested depth
+to its own capacity, walks enumerations in canonical order, and returns
+``(params, checked, witness)``: the parameters it ran with, how many
+cases it checked, and the first counterexample found, or None.
+
+``Check`` turns that into a ``CheckReport``: ``skipped`` with the
+reason for a rule outside the claim (or when the body raises
+``Skipped``), otherwise ``pass`` without a witness and ``fail`` with
+one.  Reports are a pure function of (algo, depth_limit, selection).
 """
 
 from __future__ import annotations
@@ -49,6 +58,9 @@ from ._jobs import run_tasks
 
 PASS, FAIL, SKIP = "pass", "fail", "skipped"
 
+# (params, cases checked, first counterexample or None)
+Found = Tuple[Dict, int, Optional[Dict]]
+
 
 @dataclass
 class CheckReport:
@@ -72,49 +84,43 @@ class CheckReport:
         }
 
 
-def _pass(name, claim, algo, params, checked):
-    return CheckReport(name, claim, algo, params, PASS, checked)
+class Skipped(Exception):
+    """Raised by a check body when the depth limit leaves nothing to check."""
 
 
-def _fail(name, claim, algo, params, checked, witness):
-    return CheckReport(name, claim, algo, params, FAIL, checked, witness)
+@dataclass(frozen=True)
+class Check:
+    name: str
+    claim: str
+    body: Callable[[str, int], Found]
+    rules: Tuple[str, ...]
+    reason: str = ""  # why the claim does not apply to any other rule
+
+    def __call__(self, algo: str, limit: int) -> CheckReport:
+        try:
+            if algo not in self.rules:
+                raise Skipped(self.reason)
+            params, checked, witness = self.body(algo, limit)
+        except Skipped as skip:
+            return CheckReport(self.name, self.claim, algo, {"reason": str(skip)}, SKIP)
+        status = PASS if witness is None else FAIL
+        return CheckReport(self.name, self.claim, algo, params, status, checked, witness)
 
 
-def _skip(name, claim, algo, reason):
-    return CheckReport(name, claim, algo, {"reason": reason}, SKIP)
+# --- check bodies -----------------------------------------------------------
 
 
-# --- individual checks ------------------------------------------------------
-
-
-_CLAIM_UNIMODULAR = "every basis produced by the subdivision rules has determinant +-1"
-
-
-def _check_unimodularity(algo: str, limit: int) -> CheckReport:
-    name = "unimodularity"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_UNIMODULAR, algo, "no lattice bases in the 1-d rule")
-    depth = min(limit, 6 if algo == ALGO_A else 16)
-    params = {"depth": depth}
+def _unimodularity(algo: str, limit: int) -> Found:
+    params = {"depth": min(limit, 6 if algo == ALGO_A else 16)}
     checked = 0
-    for basis, d in iter_bases(algo, depth):
+    for basis, d in iter_bases(algo, params["depth"]):
         checked += 1
         if abs(det3(*basis)) != 1:
-            return _fail(name, _CLAIM_UNIMODULAR, algo, params, checked,
-                         {"depth": d, "basis": [list(v) for v in basis]})
-    return _pass(name, _CLAIM_UNIMODULAR, algo, params, checked)
+            return params, checked, {"depth": d, "basis": [list(v) for v in basis]}
+    return params, checked, None
 
 
-_CLAIM_REGULAR = (
-    "children tile their parent: areas sum exactly, each child lies inside "
-    "the parent, and child interiors are pairwise disjoint"
-)
-
-
-def _check_regular_partition(algo: str, limit: int) -> CheckReport:
-    name = "regular-partition"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_REGULAR, algo, "intervals partition trivially")
+def _regular_partition(algo: str, limit: int) -> Found:
     kids = child_rule(algo)
     checked = 0
     # exact area bookkeeping at every enumerated depth, on distinct triples
@@ -131,8 +137,7 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
             for cp, cq, cr in kids(p, q, r, operator.add):
                 child_area += Fraction(1, 2 * cp * cq * cr)
             if child_area != parent_area:
-                return _fail(name, _CLAIM_REGULAR, algo, params, checked,
-                             {"depth": d, "triple": [p, q, r]})
+                return params, checked, {"depth": d, "triple": [p, q, r]}
     # exact lattice geometry on every parent of a cell at depth <= geometry_depth
     parents = iter_bases(algo, geometry_depth - 1) if geometry_depth else ()
     for basis, d in parents:
@@ -140,17 +145,15 @@ def _check_regular_partition(algo: str, limit: int) -> CheckReport:
         children = kids(*basis)
         for ch in children:
             if any(min(coordinates(basis, v)) < 0 for v in ch):
-                return _fail(name, _CLAIM_REGULAR, algo, params, checked,
-                             {"depth": d, "problem": "child escapes parent",
-                              "basis": [list(v) for v in basis]})
+                return params, checked, {"depth": d, "problem": "child escapes parent",
+                                         "basis": [list(v) for v in basis]}
         for i in range(len(children)):
             for j in range(i + 1, len(children)):
                 if not disjoint_interiors(children[i], children[j]):
-                    return _fail(name, _CLAIM_REGULAR, algo, params, checked,
-                                 {"depth": d, "problem": "overlapping interiors",
-                                  "children": [i, j],
-                                  "basis": [list(v) for v in basis]})
-    return _pass(name, _CLAIM_REGULAR, algo, params, checked)
+                    return params, checked, {"depth": d, "problem": "overlapping interiors",
+                                             "children": [i, j],
+                                             "basis": [list(v) for v in basis]}
+    return params, checked, None
 
 
 def disjoint_interiors(s: Sequence[Vec], t: Sequence[Vec]) -> bool:
@@ -176,52 +179,31 @@ def _pt(v):
     return (Fraction(v[1], v[0]), Fraction(v[2], v[0]))
 
 
-_CLAIM_AREA = "1/(2 q(a) q(b) q(c)) equals the shoelace area of every triangle"
-
-
-def _check_area_formula(algo: str, limit: int) -> CheckReport:
-    name = "area-lemma2"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_AREA, algo, "interval lengths need no area formula")
-    depth = min(limit, 6)
-    params = {"depth": depth}
+def _area_formula(algo: str, limit: int) -> Found:
+    params = {"depth": min(limit, 6)}
     checked = 0
-    for basis, d in iter_bases(algo, depth):
+    for basis, d in iter_bases(algo, params["depth"]):
         checked += 1
         qa, qb, qc = basis[0][0], basis[1][0], basis[2][0]
         if Fraction(1, 2 * qa * qb * qc) != shoelace_area([_pt(v) for v in basis]):
-            return _fail(name, _CLAIM_AREA, algo, params, checked,
-                         {"depth": d, "basis": [list(v) for v in basis]})
-    return _pass(name, _CLAIM_AREA, algo, params, checked)
+            return params, checked, {"depth": d, "basis": [list(v) for v in basis]}
+    return params, checked, None
 
-
-_CLAIM_SIGMA1 = "the cell measures of every tiling sum to exactly 1"
 
 _SIGMA1_CAP = {ALGO_A: 7, ALGO_B: 20, ALGO_CLASSICAL: 20}
 
 
-def _check_sigma1(algo: str, limit: int) -> CheckReport:
-    name = "sigma1"
+def _sigma1(algo: str, limit: int) -> Found:
     depth = min(limit, _SIGMA1_CAP[algo])
     params = {"depth": depth}
     for n in range(depth + 1):
         total = exact_unit_sum(algo, n)
         if total != 1:
-            return _fail(name, _CLAIM_SIGMA1, algo, params, n + 1,
-                         {"depth": n, "sum": str(total)})
-    return _pass(name, _CLAIM_SIGMA1, algo, params, depth + 1)
+            return params, n + 1, {"depth": n, "sum": str(total)}
+    return params, depth + 1, None
 
 
-_CLAIM_L4 = (
-    "for a child triangle missing parent vertex a, every child vertex "
-    "denominator is at least min(q(b), q(c)) over the kept parent vertices"
-)
-
-
-def _check_lemma4(algo: str, limit: int) -> CheckReport:
-    name = "lemma4"
-    if algo != ALGO_A:
-        return _skip(name, _CLAIM_L4, algo, "six-way rule only")
+def _lemma4(algo: str, limit: int) -> Found:
     depth = min(limit, 8)
     params = {"depth": depth}
     checked = 0
@@ -240,19 +222,12 @@ def _check_lemma4(algo: str, limit: int) -> CheckReport:
                         continue
                     others = [t[k] for k in range(3) if k != dropped]
                     if low < min(others):
-                        return _fail(name, _CLAIM_L4, algo, params, checked,
-                                     {"depth": d, "parent": list(t), "rule": rule + 1,
-                                      "dropped_q": t[dropped]})
-    return _pass(name, _CLAIM_L4, algo, params, checked)
+                        return params, checked, {"depth": d, "parent": list(t), "rule": rule + 1,
+                                                 "dropped_q": t[dropped]}
+    return params, checked, None
 
 
-_CLAIM_L7 = "a triangle whose code has r entries has all denominators >= 2^(r//2)"
-
-
-def _check_lemma7(algo: str, limit: int) -> CheckReport:
-    name = "lemma7"
-    if algo != ALGO_A:
-        return _skip(name, _CLAIM_L7, algo, "run-length codes belong to the six-way rule")
+def _lemma7(algo: str, limit: int) -> Found:
     depth = min(limit, 8)
     params = {"depth": depth}
     checked = 0
@@ -260,18 +235,11 @@ def _check_lemma7(algo: str, limit: int) -> CheckReport:
         for (p, q, r, rlen, _lc), mult in level.items():
             checked += mult
             if min(p, q, r) < 2 ** (rlen // 2):
-                return _fail(name, _CLAIM_L7, algo, params, checked,
-                             {"triple": [p, q, r], "code_length": rlen})
-    return _pass(name, _CLAIM_L7, algo, params, checked)
+                return params, checked, {"triple": [p, q, r], "code_length": rlen}
+    return params, checked, None
 
 
-_CLAIM_L8 = "max vertex denominator <= (depth + 1) x min vertex denominator"
-
-
-def _check_lemma8(algo: str, limit: int) -> CheckReport:
-    name = "lemma8"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_L8, algo, "stated for the 2-d rules")
+def _lemma8(algo: str, limit: int) -> Found:
     depth = min(limit, 8 if algo == ALGO_A else 16)
     params = {"depth": depth}
     checked = 0
@@ -279,22 +247,11 @@ def _check_lemma8(algo: str, limit: int) -> CheckReport:
         for t, mult in level.items():
             checked += mult
             if max(t) > (d + 1) * min(t):
-                return _fail(name, _CLAIM_L8, algo, params, checked,
-                             {"depth": d, "triple": list(t)})
-    return _pass(name, _CLAIM_L8, algo, params, checked)
+                return params, checked, {"depth": d, "triple": list(t)}
+    return params, checked, None
 
 
-_CLAIM_L13 = (
-    "ordered triangles satisfy q(b)+q(c) >= q(a) >= q(b) >= q(c); an "
-    'operation-"1" child halves the area or better; k operations "0" '
-    "follow the stated mediant formulas with q(a'), q(b') >= (k+1)/2 q(c)"
-)
-
-
-def _check_lemma13(algo: str, limit: int) -> CheckReport:
-    name = "lemma13"
-    if algo != ALGO_B:
-        return _skip(name, _CLAIM_L13, algo, "ordered-rule statement")
+def _lemma13(algo: str, limit: int) -> Found:
     depth = min(limit, 16)
     kmax = 12
     parents_depth = min(limit, 4)
@@ -304,16 +261,15 @@ def _check_lemma13(algo: str, limit: int) -> CheckReport:
         for (qa, qb, qc), mult in level.items():
             checked += mult
             if not (qb + qc >= qa >= qb >= qc):
-                return _fail(name, _CLAIM_L13, algo, params, checked,
-                             {"part": "i", "depth": d, "triple": [qa, qb, qc]})
+                return params, checked, {"part": "i", "depth": d, "triple": [qa, qb, qc]}
             # operation "1" child (qb+qc, qa, qb): area ratio qc/(qb+qc) <= 1/2
             (q1a, q1b, q1c), _ = child_vectors_b(qa, qb, qc, operator.add)
             if Fraction(1, 2 * q1a * q1b * q1c) > Fraction(1, 2 * qa * qb * qc) / 2:
-                return _fail(name, _CLAIM_L13, algo, params, checked,
-                             {"part": "ii", "depth": d, "triple": [qa, qb, qc]})
+                return params, checked, {"part": "ii", "depth": d, "triple": [qa, qb, qc]}
     # part iii: explicit zero-runs from whole bases
     for basis, d in iter_bases(ALGO_B, parents_depth):
         a, b, c = basis
+        start = [list(v) for v in basis]
         cur = basis
         for k in range(1, kmax + 1):
             cur = child_vectors_b(*cur)[1]
@@ -324,35 +280,20 @@ def _check_lemma13(algo: str, limit: int) -> CheckReport:
                 want = (_shift(b, c, half + 1), _shift(a, c, half), c)
             checked += 1
             if cur != want:
-                return _fail(name, _CLAIM_L13, algo, params, checked,
-                             {"part": "iii", "depth": d, "k": k,
-                              "start": [list(v) for v in basis]})
+                return params, checked, {"part": "iii", "depth": d, "k": k, "start": start}
             if 2 * cur[0][0] < (k + 1) * c[0] or 2 * cur[1][0] < (k + 1) * c[0]:
-                return _fail(name, _CLAIM_L13, algo, params, checked,
-                             {"part": "iii-bound", "depth": d, "k": k,
-                              "start": [list(v) for v in basis]})
-    return _pass(name, _CLAIM_L13, algo, params, checked)
+                return params, checked, {"part": "iii-bound", "depth": d, "k": k, "start": start}
+    return params, checked, None
 
 
 def _shift(u, v, times):
     return (u[0] + times * v[0], u[1] + times * v[1], u[2] + times * v[2])
 
 
-_CLAIM_L16 = (
-    'after operations (d0, d1, "1", "0") the final third vertex equals the '
-    "mediant of the starting triangle's last two vertices, is not a vertex "
-    "of the starting triangle, and is a vertex of the first child"
-)
-
-
-def _check_lemma16(algo: str, limit: int) -> CheckReport:
-    name = "lemma16"
-    if algo != ALGO_B:
-        return _skip(name, _CLAIM_L16, algo, "ordered-rule statement")
-    depth = min(limit, 4)
-    params = {"parent_depth": depth}
+def _lemma16(algo: str, limit: int) -> Found:
+    params = {"parent_depth": min(limit, 4)}
     checked = 0
-    for basis, d in iter_bases(ALGO_B, depth):
+    for basis, d in iter_bases(ALGO_B, params["parent_depth"]):
         a, b, c = basis
         expected = vec_add(b, c)
         for d0 in (0, 1):
@@ -364,16 +305,9 @@ def _check_lemma16(algo: str, limit: int) -> CheckReport:
                 checked += 1
                 third = cur[2]
                 if third != expected or third in basis or third not in first:
-                    return _fail(name, _CLAIM_L16, algo, params, checked,
-                                 {"depth": d, "ops": [d0, d1, 1, 0],
-                                  "start": [list(v) for v in basis]})
-    return _pass(name, _CLAIM_L16, algo, params, checked)
-
-
-_CLAIM_T1 = (
-    "along every located chain the k-th triangle's diameter is at most "
-    "(1 - 1/k) times its parent's, for chain positions k >= 2"
-)
+                    return params, checked, {"depth": d, "ops": [d0, d1, 1, 0],
+                                             "start": [list(v) for v in basis]}
+    return params, checked, None
 
 
 def sample_contraction(
@@ -411,28 +345,17 @@ def sample_contraction(
     return checked, None
 
 
-def _check_contraction(algo: str, limit: int) -> CheckReport:
-    name = "theorem1-contraction"
-    if algo != ALGO_A:
-        return _skip(name, _CLAIM_T1, algo, "contraction factor stated for the six-way rule")
+def _contraction(algo: str, limit: int) -> Found:
     depth = min(limit, 12)
     params = {"depth": depth, "chains": 200, "max_denominator": 100}
-    checked, witness = sample_contraction(chains=200, depth=depth)
-    if witness:
-        return _fail(name, _CLAIM_T1, algo, params, checked, witness)
-    return _pass(name, _CLAIM_T1, algo, params, checked)
+    return (params, *sample_contraction(chains=200, depth=depth))
 
 
-_CLAIM_COMPLETE = (
-    "every primitive vector with denominator <= qmax occurs as a basis "
-    "vector; for the six-way rule no later than depth q"
-)
+_COMPLETENESS_QMAX = 15
 
 
-def _check_completeness(algo: str, limit: int, qmax: int = 15) -> CheckReport:
-    name = "completeness"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_COMPLETE, algo, "classical completeness is the 1-d mediant fact")
+def _completeness(algo: str, limit: int) -> Found:
+    qmax = _COMPLETENESS_QMAX
     params = {"qmax": qmax}
     found = vertices_up_to(algo, qmax)
     checked = 0
@@ -442,29 +365,18 @@ def _check_completeness(algo: str, limit: int, qmax: int = 15) -> CheckReport:
                 if gcd(gcd(q, a1), a2) != 1:
                     continue
                 checked += 1
-                v = LatticeVector(q, a1, a2)
-                depth = found.get(v)
+                depth = found.get(LatticeVector(q, a1, a2))
                 if depth is None:
-                    return _fail(name, _CLAIM_COMPLETE, algo, params, checked,
-                                 {"missing": [q, a1, a2]})
+                    return params, checked, {"missing": [q, a1, a2]}
                 if algo == ALGO_A and depth > q:
-                    return _fail(name, _CLAIM_COMPLETE, algo, params, checked,
-                                 {"vector": [q, a1, a2], "first_depth": depth})
-    return _pass(name, _CLAIM_COMPLETE, algo, params, checked)
+                    return params, checked, {"vector": [q, a1, a2], "first_depth": depth}
+    return params, checked, None
 
-
-_CLAIM_CENSUS = (
-    "face, edge, vertex counts match their closed forms; degree histograms "
-    "satisfy the handshake identity and v - r + f = 1"
-)
 
 _CENSUS_CHECK_CAP = {ALGO_A: 6, ALGO_B: 16}
 
 
-def _check_census_formulas(algo: str, limit: int) -> CheckReport:
-    name = "census-formulas"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_CENSUS, algo, "graph census is 2-d only")
+def _census_formulas(algo: str, limit: int) -> Found:
     depth = min(limit, _CENSUS_CHECK_CAP[algo])
     params = {"depth": depth}
     checked = 0
@@ -473,32 +385,18 @@ def _check_census_formulas(algo: str, limit: int) -> CheckReport:
         checked += 1
         expected = expected_counts(algo, n)
         if (c.faces, c.edges, c.vertices) != expected:
-            return _fail(name, _CLAIM_CENSUS, algo, params, checked,
-                         {"depth": n, "got": [c.faces, c.edges, c.vertices],
-                          "expected": list(expected)})
+            return params, checked, {"depth": n, "got": [c.faces, c.edges, c.vertices],
+                                     "expected": list(expected)}
         if algo == ALGO_A and c.degree_histogram != expected_degree_histogram_a(n):
-            return _fail(name, _CLAIM_CENSUS, algo, params, checked,
-                         {"depth": n, "histogram": c.degree_histogram})
+            return params, checked, {"depth": n, "histogram": c.degree_histogram}
         if sum(d * k for d, k in c.degree_histogram.items()) != 2 * c.edges:
-            return _fail(name, _CLAIM_CENSUS, algo, params, checked,
-                         {"depth": n, "problem": "handshake"})
+            return params, checked, {"depth": n, "problem": "handshake"}
         if c.euler() != 1:
-            return _fail(name, _CLAIM_CENSUS, algo, params, checked,
-                         {"depth": n, "problem": "euler", "value": c.euler()})
-    return _pass(name, _CLAIM_CENSUS, algo, params, checked)
+            return params, checked, {"depth": n, "problem": "euler", "value": c.euler()}
+    return params, checked, None
 
 
-_CLAIM_DEGSET = (
-    "stable degrees take only the allowed values ({2,3,5,8} six-way, "
-    "{3,5,8} ordered rule), transient values {2,4} appear only on the "
-    "frontier, and the creation-type grading reproduces measured degrees"
-)
-
-
-def _check_degree_set(algo: str, limit: int) -> CheckReport:
-    name = "degree-set"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_DEGSET, algo, "graph degrees are 2-d only")
+def _degree_set(algo: str, limit: int) -> Found:
     depth = min(limit, _CENSUS_CHECK_CAP[algo])
     params = {"depth": depth, "table_qmax": 60}
     checked = 0
@@ -512,36 +410,23 @@ def _check_degree_set(algo: str, limit: int) -> CheckReport:
         for v, d in stable.items():
             checked += 1
             if d not in DEGREE_SET[algo]:
-                return _fail(name, _CLAIM_DEGSET, algo, params, checked,
-                             {"depth": n, "vertex": list(v), "degree": d})
+                return params, checked, {"depth": n, "vertex": list(v), "degree": d}
             if v.x <= 60 and table[v] != d:
-                return _fail(name, _CLAIM_DEGSET, algo, params, checked,
-                             {"depth": n, "vertex": list(v), "degree": d,
-                              "graded": table[v]})
+                return params, checked, {"depth": n, "vertex": list(v), "degree": d,
+                                         "graded": table[v]}
         if algo == ALGO_B:
             for v, d in frontier.items():
                 checked += 1
                 if d not in {2, 3, 4}:
-                    return _fail(name, _CLAIM_DEGSET, algo, params, checked,
-                                 {"depth": n, "frontier_vertex": list(v), "degree": d})
-    return _pass(name, _CLAIM_DEGSET, algo, params, checked)
+                    return params, checked, {"depth": n, "frontier_vertex": list(v), "degree": d}
+    return params, checked, None
 
 
-_CLAIM_DEGSTAB = (
-    "a vertex's degree never changes after it stabilizes: from first "
-    "appearance (six-way rule) or one step later (ordered rule)"
-)
-
-
-def _check_degree_stability(algo: str, limit: int) -> CheckReport:
-    name = "degree-stability"
-    if algo == ALGO_CLASSICAL:
-        return _skip(name, _CLAIM_DEGSTAB, algo, "graph degrees are 2-d only")
-    cap = _CENSUS_CHECK_CAP[algo]
-    base_max = min(limit, cap - 3)
+def _degree_stability(algo: str, limit: int) -> Found:
+    base_max = min(limit, _CENSUS_CHECK_CAP[algo] - 3)
     params = {"base_depths": base_max, "lookahead": 3}
     if base_max < 1:
-        return _skip(name, _CLAIM_DEGSTAB, algo, "depth limit leaves no room for lookahead")
+        raise Skipped("depth limit leaves no room for lookahead")
     checked = 0
     # degree maps of depths n-1 .. n+2 at the top of each pass
     maps = [degrees_at(algo, d) for d in range(4)]
@@ -554,82 +439,103 @@ def _check_degree_stability(algo: str, limit: int) -> CheckReport:
             for v, d in stable.items():
                 checked += 1
                 if later[tuple(v)] != d:
-                    return _fail(name, _CLAIM_DEGSTAB, algo, params, checked,
-                                 {"vertex": list(v), "depth": n, "later_depth": n + k,
-                                  "degree": d, "later_degree": later[tuple(v)]})
-    return _pass(name, _CLAIM_DEGSTAB, algo, params, checked)
+                    return params, checked, {"vertex": list(v), "depth": n, "later_depth": n + k,
+                                             "degree": d, "later_degree": later[tuple(v)]}
+    return params, checked, None
 
 
-_CLAIM_MAXAREA = "the largest cell of the depth-n six-way tiling is exactly 1/(2(n+1)^2)"
-
-
-def _check_max_area(algo: str, limit: int) -> CheckReport:
-    name = "max-area"
-    if algo != ALGO_A:
-        return _skip(name, _CLAIM_MAXAREA, algo, "corner-cell law of the six-way rule")
+def _max_area(algo: str, limit: int) -> Found:
     depth = min(limit, 7)
     params = {"depth": depth}
-    checked = 0
     for n in range(1, depth + 1):
         _, biggest = extreme_areas(ALGO_A, n)
-        checked += 1
         if biggest != Fraction(1, 2 * (n + 1) ** 2):
-            return _fail(name, _CLAIM_MAXAREA, algo, params, checked,
-                         {"depth": n, "max_area": str(biggest)})
-    return _pass(name, _CLAIM_MAXAREA, algo, params, checked)
+            return params, n, {"depth": n, "max_area": str(biggest)}
+    return params, depth, None
 
 
-_CLAIM_L9 = "partial sums of order-2 moments stay under (16/3) zeta(4)^2"
-_CLAIM_L14 = "partial sums of order-2 moments stay under (32/3) 2^2 zeta(4)^2"
+_MOMENT_BOUND_CAP = {ALGO_A: 9, ALGO_B: 20}
 
 
-def _check_lemma9(algo: str, limit: int) -> CheckReport:
-    name = "lemma9-bound"
-    if algo != ALGO_A:
-        return _skip(name, _CLAIM_L9, algo, "constant stated for the six-way rule")
-    depth = min(limit, 9)
+def _moment_bound(algo: str, limit: int) -> Found:
+    depth = min(limit, _MOMENT_BOUND_CAP[algo])
     params = {"depth": depth, "beta": 2}
-    partial, bound = cumulative_moment_check(ALGO_A, 2, depth)
+    partial, bound = cumulative_moment_check(algo, 2, depth)
     if partial > bound:
-        return _fail(name, _CLAIM_L9, algo, params, depth + 1,
-                     {"partial_sum": partial, "bound": bound})
-    return _pass(name, _CLAIM_L9, algo, dict(params, partial_sum=partial, bound=bound), depth + 1)
-
-
-def _check_lemma14(algo: str, limit: int) -> CheckReport:
-    name = "lemma14-bound"
-    if algo != ALGO_B:
-        return _skip(name, _CLAIM_L14, algo, "constant stated for the ordered rule")
-    depth = min(limit, 20)
-    params = {"depth": depth, "beta": 2}
-    partial, bound = cumulative_moment_check(ALGO_B, 2, depth)
-    if partial > bound:
-        return _fail(name, _CLAIM_L14, algo, params, depth + 1,
-                     {"partial_sum": partial, "bound": bound})
-    return _pass(name, _CLAIM_L14, algo, dict(params, partial_sum=partial, bound=bound), depth + 1)
+        return params, depth + 1, {"partial_sum": partial, "bound": bound}
+    return dict(params, partial_sum=partial, bound=bound), depth + 1, None
 
 
 # --- registry ---------------------------------------------------------------
 
-CHECKS: Dict[str, Callable[[str, int], CheckReport]] = {
-    "unimodularity": _check_unimodularity,
-    "regular-partition": _check_regular_partition,
-    "area-lemma2": _check_area_formula,
-    "sigma1": _check_sigma1,
-    "lemma4": _check_lemma4,
-    "lemma7": _check_lemma7,
-    "lemma8": _check_lemma8,
-    "lemma13": _check_lemma13,
-    "lemma16": _check_lemma16,
-    "theorem1-contraction": _check_contraction,
-    "completeness": _check_completeness,
-    "census-formulas": _check_census_formulas,
-    "degree-set": _check_degree_set,
-    "degree-stability": _check_degree_stability,
-    "max-area": _check_max_area,
-    "lemma9-bound": _check_lemma9,
-    "lemma14-bound": _check_lemma14,
-}
+_ALL = (ALGO_A, ALGO_B, ALGO_CLASSICAL)
+_2D = (ALGO_A, ALGO_B)
+
+CHECKS: Dict[str, Callable[[str, int], CheckReport]] = {c.name: c for c in (
+    Check("unimodularity",
+          "every basis produced by the subdivision rules has determinant +-1",
+          _unimodularity, _2D, "no lattice bases in the 1-d rule"),
+    Check("regular-partition",
+          "children tile their parent: areas sum exactly, each child lies inside "
+          "the parent, and child interiors are pairwise disjoint",
+          _regular_partition, _2D, "intervals partition trivially"),
+    Check("area-lemma2",
+          "1/(2 q(a) q(b) q(c)) equals the shoelace area of every triangle",
+          _area_formula, _2D, "interval lengths need no area formula"),
+    Check("sigma1",
+          "the cell measures of every tiling sum to exactly 1",
+          _sigma1, _ALL),
+    Check("lemma4",
+          "for a child triangle missing parent vertex a, every child vertex "
+          "denominator is at least min(q(b), q(c)) over the kept parent vertices",
+          _lemma4, (ALGO_A,), "six-way rule only"),
+    Check("lemma7",
+          "a triangle whose code has r entries has all denominators >= 2^(r//2)",
+          _lemma7, (ALGO_A,), "run-length codes belong to the six-way rule"),
+    Check("lemma8",
+          "max vertex denominator <= (depth + 1) x min vertex denominator",
+          _lemma8, _2D, "stated for the 2-d rules"),
+    Check("lemma13",
+          "ordered triangles satisfy q(b)+q(c) >= q(a) >= q(b) >= q(c); an "
+          'operation-"1" child halves the area or better; k operations "0" '
+          "follow the stated mediant formulas with q(a'), q(b') >= (k+1)/2 q(c)",
+          _lemma13, (ALGO_B,), "ordered-rule statement"),
+    Check("lemma16",
+          'after operations (d0, d1, "1", "0") the final third vertex equals the '
+          "mediant of the starting triangle's last two vertices, is not a vertex "
+          "of the starting triangle, and is a vertex of the first child",
+          _lemma16, (ALGO_B,), "ordered-rule statement"),
+    Check("theorem1-contraction",
+          "along every located chain the k-th triangle's diameter is at most "
+          "(1 - 1/k) times its parent's, for chain positions k >= 2",
+          _contraction, (ALGO_A,), "contraction factor stated for the six-way rule"),
+    Check("completeness",
+          "every primitive vector with denominator <= qmax occurs as a basis "
+          "vector; for the six-way rule no later than depth q",
+          _completeness, _2D, "classical completeness is the 1-d mediant fact"),
+    Check("census-formulas",
+          "face, edge, vertex counts match their closed forms; degree histograms "
+          "satisfy the handshake identity and v - r + f = 1",
+          _census_formulas, _2D, "graph census is 2-d only"),
+    Check("degree-set",
+          "stable degrees take only the allowed values ({2,3,5,8} six-way, "
+          "{3,5,8} ordered rule), transient values {2,4} appear only on the "
+          "frontier, and the creation-type grading reproduces measured degrees",
+          _degree_set, _2D, "graph degrees are 2-d only"),
+    Check("degree-stability",
+          "a vertex's degree never changes after it stabilizes: from first "
+          "appearance (six-way rule) or one step later (ordered rule)",
+          _degree_stability, _2D, "graph degrees are 2-d only"),
+    Check("max-area",
+          "the largest cell of the depth-n six-way tiling is exactly 1/(2(n+1)^2)",
+          _max_area, (ALGO_A,), "corner-cell law of the six-way rule"),
+    Check("lemma9-bound",
+          "partial sums of order-2 moments stay under (16/3) zeta(4)^2",
+          _moment_bound, (ALGO_A,), "constant stated for the six-way rule"),
+    Check("lemma14-bound",
+          "partial sums of order-2 moments stay under (32/3) 2^2 zeta(4)^2",
+          _moment_bound, (ALGO_B,), "constant stated for the ordered rule"),
+)}
 
 
 def _check_task(args: Tuple[str, int, str]) -> CheckReport:

@@ -154,6 +154,14 @@ def test_nan_tolerance_rejected():
     assert json.loads(proc.stdout)["error"]["type"] == "invalid-input"
 
 
+@pytest.mark.parametrize("algo,tol", [("a", "nan"), ("b", "nan"), ("b", "0"), ("classical", "-1")])
+def test_tolerance_rejected_for_every_algo(algo, tol):
+    proc = run_cli("dirichlet", "--algo", algo, "--beta", "6", "--qmax", "8", "--tolerance", tol, check=False)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "invalid-input" and error["message"].startswith("tolerance must be positive")
+
+
 def test_negative_label_cap_rejected(tmp_path):
     out = tmp_path / "t.svg"
     proc = run_cli("render", "--algo", "a", "--depth", "2", "--labels", "--label-cap", "-3",

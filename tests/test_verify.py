@@ -1,12 +1,15 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import farey_brocot.verify as verify
+from farey_brocot.census import degrees_at
 from farey_brocot.core import InvalidInputError, coordinates
 from farey_brocot.subdivision import child_rule, initial_vectors
-from farey_brocot.verify import CHECKS, PASS, SKIP, disjoint_interiors, run_checks, sample_contraction
+from farey_brocot.verify import CHECKS, FAIL, PASS, SKIP, disjoint_interiors, run_checks, sample_contraction
 
 from oracles import clip_disjoint, clip_inside
 
@@ -74,6 +77,83 @@ def test_degree_set_report_pinned(algo, depth):
     assert report["status"] == PASS and report["params"]["table_qmax"] == 60
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DEGREE_SET_SHA256[algo, depth]
+
+
+def test_degree_stability_skips_without_lookahead():
+    report = run_checks("b", 0, ["degree-stability"])[0]
+    assert report.status == SKIP and report.checked == 0
+    assert report.params == {"reason": "depth limit leaves no room for lookahead"}
+
+
+def _bumped_degrees(algo, n, jobs=1):
+    # one stable vertex changes degree from depth 3 on
+    deg = dict(degrees_at(algo, n, jobs))
+    if n >= 3:
+        deg[min(deg)] += 1
+    return deg
+
+
+# Per check: the rules it is stated for, and the names in farey_brocot.verify
+# to replace so that it must find a counterexample.
+FAULTS = {
+    "unimodularity": (("a", "b"), {"det3": lambda *vs: 2}),
+    "regular-partition": (("a", "b"), {"disjoint_interiors": lambda s, t: False}),
+    "area-lemma2": (("a", "b"), {"shoelace_area": lambda pts: 0}),
+    "sigma1": (("a", "b", "classical"), {"exact_unit_sum": lambda algo, n: Fraction(2)}),
+    "lemma4": (("a",), {"child_vectors_a": lambda *vs, **kw: [(0, 0, 0)] * 6}),
+    "lemma7": (("a",), {"level_q_counts_coded_a": lambda depth: [{(1, 1, 1, 4, 0): 1}]}),
+    "lemma8": (("a", "b"), {"level_q_counts": lambda algo, depth: [{(5, 1, 1): 1}]}),
+    "lemma13": (("b",), {"child_vectors_b": lambda *vs, **kw: ((1, 1, 1), (1, 1, 1))}),
+    "lemma16": (("b",), {"vec_add": lambda u, v: (0, 0, 0)}),
+    "theorem1-contraction": (("a",), {"diameter_sq": lambda tri: 1}),
+    "completeness": (("a", "b"), {"vertices_up_to": lambda algo, qmax: {}}),
+    "census-formulas": (("a", "b"), {"expected_counts": lambda algo, n: (0, 0, 0)}),
+    "degree-set": (("a", "b"), {"DEGREE_SET": {"a": set(), "b": set()}}),
+    "degree-stability": (("a", "b"), {"degrees_at": _bumped_degrees}),
+    "max-area": (("a",), {"extreme_areas": lambda algo, n: (0, Fraction(1))}),
+    "lemma9-bound": (("a",), {"cumulative_moment_check": lambda *args: (10.0, 1.0)}),
+    "lemma14-bound": (("b",), {"cumulative_moment_check": lambda *args: (10.0, 1.0)}),
+}
+
+# SHA-256 of the faulted reports at a/4, b/8 and classical/4 (sorted-key
+# JSON of the list), recorded before the checks moved into one registry.
+PINNED_FAULT_SHA256 = {
+    "unimodularity": "07e23914fe87b2e441ce25f05b1b99b8220d539c9c5f4fd705faa0e5c805f750",
+    "regular-partition": "f3acd397bc2e754298eef09f67c316872817877dc3ab9e74f789dbdd8b94b044",
+    "area-lemma2": "f4b5424c9e1e8bbbe3c572cb9cb00883e9b25f9943f9a03907a0f7b64cd51b0b",
+    "sigma1": "bdc5dd31d1e0525678b64bce12ae801c40913bb0e3b9baf80270ce7a02e7ba97",
+    "lemma4": "b3964a903a0d8922e616aecd99b74dc70fd5350a1ae7689ae4e851d7f02dc75d",
+    "lemma7": "1dc0ad6325af301bb3c084a3393c3d272197ae4f10c98f72baf478f39dc54071",
+    "lemma8": "9c30a9453ba274e3cc58edabd762c7ce014fd190123c8e0273c215781bf06f5d",
+    "lemma13": "f81dd0e3444e9f7456584839881ef5a08902b226f502349300153e2e3172d02a",
+    "lemma16": "3416bc2ab02d6c32fcaebdd34fa75eb2ddba375f51285438f0103f2d5b43c7ab",
+    "theorem1-contraction": "8cdf9ea87f9c508dc2ca9d1b2d99cac68364093ebc272ae720dbfdf9a87c4969",
+    "completeness": "fa058e09b0b3efb1cbd5dcedd1f6c0f8ed37a8df1cdbca544ad562f4449292d9",
+    "census-formulas": "8e71df09d798e1891592b4c736f076d803213380738c5aca70a964685d3f003d",
+    "degree-set": "cef5db006c359723737c11f33543ff7e4bb8792bbdcf47d7a65cc8dc65eec0ab",
+    "degree-stability": "de02c720056199252d642480ae5186ed29cacf37270cc74a4944391319aef8b2",
+    "max-area": "35cbdae063b694e40d07c9be1e2da8cf24ef5e06c1a56613ab5a3154dbe975cc",
+    "lemma9-bound": "46fb4fa54d5b7a4c4fec846c3a1e1b940974cfd4c2403a1da654e0b8c3606104",
+    "lemma14-bound": "6605f33d10103b7d2cbbbd3a1e94a5fb672d845e0847abea27f8b6993f06c7bb",
+}
+
+
+def test_every_check_has_a_fault():
+    assert list(FAULTS) == list(CHECKS)
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_check_fails_under_its_fault(name, monkeypatch):
+    rules, patch = FAULTS[name]
+    for attr, value in patch.items():
+        monkeypatch.setattr(verify, attr, value)
+    reports = [run_checks(algo, depth, [name])[0] for algo, depth in (("a", 4), ("b", 8), ("classical", 4))]
+    for r in reports:
+        applies = r.algo in rules
+        assert r.status == (FAIL if applies else SKIP)
+        assert (r.witness is not None) == applies
+    text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_FAULT_SHA256[name]
 
 
 @settings(max_examples=60, deadline=None)
