@@ -1,8 +1,9 @@
 """Zeta values, tiling moments, Dirichlet series, asymptotic diagnostics.
 
 Moments are exact rationals whenever the order is a positive integer
-and the computation fits the exact-mode budget; order 1 stays exact at
-any supported depth of the 2-d rules because the level sums telescope.
+and the computation fits the exact-mode budget, which the 2-d rules
+waive at order 1 even though a level holds millions of triples at their
+depth caps.  Exact sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition (or a Kahan sum in descent order for
@@ -20,8 +21,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import fsum
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
@@ -32,7 +34,7 @@ from ._jobs import run_tasks
 Beta = Union[int, float, Fraction]
 
 EXACT_FACE_CAP = 100_000
-# Exact order-1 classical moments walk every interval: 1.2 s at depth 20,
+# Exact order-1 classical moments merge every interval: 0.9 s at depth 20,
 # doubling per level (2 CPUs, CPython 3.11).
 EXACT_UNIT_INTERVAL_CAP = 2**20
 # The float classical sweep walks all 2^(n+1) - 1 intervals: 2.1 s at
@@ -67,9 +69,6 @@ class MomentValue:
     order: Fraction
     value: Union[Fraction, float]
     exact: bool
-
-    def as_float(self) -> float:
-        return float(self.value)
 
 
 def _as_beta(beta: Beta) -> Fraction:
@@ -116,11 +115,30 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
 # --- tiling moments ---------------------------------------------------------
 
 
-def _level_moment_exact(level: LevelCounts, beta: int) -> Fraction:
-    total = Fraction(0)
-    for (p, q, r), c in level.items():
-        total += Fraction(c, (2 * p * q * r) ** beta)
-    return total
+def _merge(x: Tuple[int, int], y: Tuple[int, int]) -> Tuple[int, int]:
+    # n1/d1 + n2/d2 for positive denominators, added as Fraction adds
+    # (Knuth, TAOCP 4.5.1): dividing gcd(d1, d2) out first keeps the
+    # denominator at the lcm.  Lowest terms when both inputs are.
+    (n1, d1), (n2, d2) = x, y
+    g = math.gcd(d1, d2)
+    if g == 1:
+        return n1 * d2 + n2 * d1, d1 * d2
+    s = d1 // g
+    num = n1 * (d2 // g) + n2 * s
+    g2 = math.gcd(num, g)
+    return num // g2, s * (d2 // g2)
+
+
+def exact_sum(terms: Iterable[Tuple[int, int]]) -> Fraction:
+    """Exact sum of (numerator, denominator) pairs, merged as a balanced
+    binary tree in stream order, so that most operands stay small."""
+    stack: List[Tuple[int, int]] = []  # partial sums over 2^k terms, k falling
+    for i, term in enumerate(terms, 1):
+        while not i & 1:  # the counter's carries: merge equal-sized sums
+            term = _merge(stack.pop(), term)
+            i >>= 1
+        stack.append(term)
+    return Fraction(*reduce(_merge, reversed(stack), (0, 1)))
 
 
 def _level_moment_float(level: LevelCounts, beta: float) -> float:
@@ -166,19 +184,19 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     """Moment of order beta over the depth-n tiling.
 
     Exact-rational mode runs when beta is a positive integer and either
-    the tiling fits the exact budget or beta is 1 (the order-1 sums
-    telescope, so they stay cheap at any supported depth).  Otherwise
-    the value is a compensated floating sum in canonical order.
+    the tiling fits the exact budget or beta is 1 (uncapped; see
+    ``exact_mode``).  Otherwise the value is a compensated floating sum
+    in canonical order.
     """
     if algo == ALGO_CLASSICAL:
         return classical_moment(n, beta, exact=exact)
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        levels = level_q_counts(algo, n)
-        for level in levels:
+        for level in level_q_counts(algo, n):
             pass
-        value = _level_moment_exact(level, int(b))
+        e = int(b)
+        value = exact_sum((c, (2 * p * q * r) ** e) for (p, q, r), c in level.items())
         return MomentValue(algo, n, b, value, True)
     value = moment_sweep(algo, n, b, jobs=jobs)[n]
     return MomentValue(algo, n, b, value, False)
@@ -207,7 +225,7 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
         cap = EXACT_FACE_CAP
     elif algo == ALGO_CLASSICAL:
         cap = EXACT_UNIT_INTERVAL_CAP
-    else:  # the triple levels collapse, so order 1 is cheap at any depth
+    else:  # uncapped, though a/10 and b/26 take 24-25 s (2 CPUs, CPython 3.11)
         cap = math.inf
     affordable = integral and faces <= cap
     if exact is None:
@@ -225,34 +243,15 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
 # --- classical (1-d) moments ------------------------------------------------
 
 
-def _classical_walk(n: int):
-    # (endpoint denominators, depth) of every interval down to depth n
-    return descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
+def _classical_exact(n: int, e: int) -> Fraction:
+    # Sum of 1/(q r)^e over the depth-n intervals, merged by subtree.
+    def rec(q: int, r: int, depth: int) -> Tuple[int, int]:
+        m = q + r  # the mediant's denominator
+        if depth == 1:  # both children are leaves; skip two calls
+            return _merge((1, (q * m) ** e), (1, (m * r) ** e))
+        return _merge(rec(q, m, depth - 1), rec(m, r, depth - 1))
 
-
-def _classical_exact_unit(n: int) -> Fraction:
-    # Subtree sums collapse at every node, keeping intermediates tiny.
-    def rec(qr: Tuple[int, int], depth: int) -> Tuple[int, int]:
-        if depth == 0:
-            return 1, qr[0] * qr[1]
-        left, right = child_intervals(*qr, operator.add)
-        n1, d1 = rec(left, depth - 1)
-        n2, d2 = rec(right, depth - 1)
-        num = n1 * d2 + n2 * d1
-        den = d1 * d2
-        g = math.gcd(num, den)
-        return num // g, den // g
-
-    num, den = rec((1, 1), n)
-    return Fraction(num, den)
-
-
-def _classical_exact_moment(n: int, beta: int) -> Fraction:
-    total = Fraction(0)
-    for (q, r), d in _classical_walk(n):
-        if d == n:
-            total += Fraction(1, (q * r) ** beta)
-    return total
+    return Fraction(*rec(1, 1, n)) if n else Fraction(1)
 
 
 def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
@@ -264,7 +263,8 @@ def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     # Kahan step per depth.  Each level's products q*r read the same from
     # both ends (the Stern-Brocot mirror symmetry), so the sums are
     # reproducible bit for bit and would be the same walked either way.
-    for (q, r), d in _classical_walk(n):
+    walk = descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
+    for (q, r), d in walk:
         x = q * r
         term = float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x)
         y = term - comps[d]
@@ -279,8 +279,7 @@ def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> Moment
     use_exact = exact_mode(ALGO_CLASSICAL, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        value = _classical_exact_unit(n) if b == 1 else _classical_exact_moment(n, int(b))
-        return MomentValue(ALGO_CLASSICAL, n, b, value, True)
+        return MomentValue(ALGO_CLASSICAL, n, b, _classical_exact(n, int(b)), True)
     return MomentValue(ALGO_CLASSICAL, n, b, classical_moment_sweep(n, b)[n], False)
 
 
@@ -302,10 +301,10 @@ def extreme_areas(algo: str, n: int) -> Tuple[Fraction, Fraction]:
 
 
 # The exact integer-order head sums qmax fractions whose common
-# denominator has about 1.44 * beta * qmax bits.  Measured (2 CPUs,
-# CPython 3.11): beta * qmax = 49,152 takes 0.68 s (beta 6, qmax 8192),
-# 98,304 takes 3.0 s (beta 6, qmax 16384), 1,024,000 takes 45 s
-# (beta 1000, qmax 1024).
+# denominator has about 1.44 * beta * qmax bits.  The head alone, two runs
+# (2 CPUs, CPython 3.11): beta * qmax = 49,152 takes 0.11-0.17 s (beta 6,
+# qmax 8192), 98,304 takes 0.32-0.51 s (beta 6, qmax 16384), 1,024,000
+# takes 26-28 s (beta 1000, qmax 1024).
 EXACT_HEAD_CAP = 65536
 
 
@@ -340,7 +339,7 @@ def dirichlet_L(algo: str, beta: Beta, qmax: int) -> SeriesValue:
     rows = list(enumerate(degree_counts(algo, qmax)))[1:]
     if b.denominator == 1:
         e = int(b)
-        head = float(sum(Fraction(sum(d * n for d, n in row.items()), q**e) for q, row in rows))
+        head = float(exact_sum((sum(d * n for d, n in row.items()), q**e) for q, row in rows))
     else:
         bf = float(b)
         head = float(sum(n * Fraction(d * float(q) ** -bf) for q, row in rows for d, n in row.items()))

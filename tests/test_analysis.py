@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
 from farey_brocot.census import stable_degree_table
-from farey_brocot.tiling import LOCATE_DEPTH_CAP, locate
+from farey_brocot.tiling import LOCATE_DEPTH_CAP, iter_intervals, iter_triangles, locate
 from farey_brocot.analysis import (
     MAX_DEGREE,
     PRIMITIVE_DENSITY,
@@ -22,6 +23,7 @@ from farey_brocot.analysis import (
     dirichlet_L,
     dirichlet_L_auto,
     exact_mode,
+    exact_sum,
     exact_unit_sum,
     extreme_areas,
     main_term,
@@ -111,6 +113,29 @@ def test_classical_sweep_consistent():
     assert sweep[2] == pytest.approx(5 / 18, rel=1e-12)
     ex = classical_moment(10, 2, exact=True)
     assert sweep[10] == pytest.approx(float(ex.value), rel=1e-12)
+
+
+@given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**12)), max_size=70))
+def test_exact_sum_equals_the_running_total(terms):
+    assert exact_sum(iter(terms)) == sum((Fraction(n, d) for n, d in terms), Fraction(0))
+
+
+def _per_cell_moments(measures):
+    # Direct sums of every cell measure raised to orders 1..4.
+    return [sum((m**e for m in measures), Fraction(0)) for e in range(1, 5)]
+
+
+@pytest.mark.parametrize("algo,depths", [("a", range(4)), ("b", range(11))])
+def test_exact_moments_equal_per_cell_sums(algo, depths):
+    for n in depths:
+        direct = _per_cell_moments([t.area() for t in iter_triangles(algo, n)])
+        assert [moment(algo, n, e, exact=True).value for e in range(1, 5)] == direct
+
+
+def test_exact_classical_moments_equal_per_interval_sums():
+    for n in range(13):
+        direct = _per_cell_moments([v - u for u, v in iter_intervals(n)])
+        assert [classical_moment(n, e, exact=True).value for e in range(1, 5)] == direct
 
 
 def test_exact_unit_sum_all_lanes():
