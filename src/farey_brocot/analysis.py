@@ -1,9 +1,8 @@
 """Zeta values, tiling moments, Dirichlet series, asymptotic diagnostics.
 
 Moments are exact rationals whenever the order is a positive integer
-and the computation fits the exact-mode budget, which the 2-d rules
-waive at order 1 even though a level holds millions of triples at their
-depth caps.  Exact sums are merged pairwise, as a balanced tree.
+and the computation fits the exact-mode budget, which is larger at
+order 1.  Exact sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition (or a Kahan sum in descent order for
@@ -34,9 +33,12 @@ from ._jobs import run_tasks
 Beta = Union[int, float, Fraction]
 
 EXACT_FACE_CAP = 100_000
-# Exact order-1 classical moments merge every interval: 0.9 s at depth 20,
-# doubling per level (2 CPUs, CPython 3.11).
-EXACT_UNIT_INTERVAL_CAP = 2**20
+# Exact order-1 moments, in cells.  The 2-d rules build and merge the last
+# level's distinct triples: a/8 takes 0.6 s and 48 MiB, b/22 1.3 s and
+# 112 MiB, a/9 3.8 s and 284 MiB, b/23 2.7 s and 214 MiB, so a/9 and
+# b/23 exceed the ~165 MiB budget.  Classical moments merge every
+# interval: 0.9 s at depth 20, doubling per level (2 CPUs, CPython 3.11).
+EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # The float classical sweep walks all 2^(n+1) - 1 intervals: 2.1 s at
 # depth 20, 4.1 s at 21, 7.9 s at 22 and 13.9 s at 23 (2 CPUs, CPython
 # 3.11), so depth 22 is the last within the Dirichlet heads' ~7 s budget.
@@ -183,10 +185,10 @@ def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
 def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: int = 1) -> MomentValue:
     """Moment of order beta over the depth-n tiling.
 
-    Exact-rational mode runs when beta is a positive integer and either
-    the tiling fits the exact budget or beta is 1 (uncapped; see
-    ``exact_mode``).  Otherwise the value is a compensated floating sum
-    in canonical order.
+    Exact-rational mode runs when beta is a positive integer and the
+    tiling fits the exact budget for its order (see ``exact_mode``).
+    Otherwise the value is a compensated floating sum in canonical
+    order.
     """
     if algo == ALGO_CLASSICAL:
         return classical_moment(n, beta, exact=exact)
@@ -221,12 +223,7 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
     b = _as_beta(beta)
     integral = b.denominator == 1
     faces = face_count(algo, n) if algo != ALGO_CLASSICAL else 2**n
-    if b != 1:
-        cap = EXACT_FACE_CAP
-    elif algo == ALGO_CLASSICAL:
-        cap = EXACT_UNIT_INTERVAL_CAP
-    else:  # uncapped, though a/10 and b/26 take 24-25 s (2 CPUs, CPython 3.11)
-        cap = math.inf
+    cap = EXACT_UNIT_CAP[algo] if b == 1 else EXACT_FACE_CAP
     affordable = integral and faces <= cap
     if exact is None:
         return affordable
@@ -347,16 +344,19 @@ def dirichlet_L(algo: str, beta: Beta, qmax: int) -> SeriesValue:
     return SeriesValue(head, _dirichlet_tail(b, qmax), terms)
 
 
-def dirichlet_L_auto(
-    algo: str, beta: Beta, rel_tail: float = 0.01, qmax_cap: int = 4096
-) -> Tuple[SeriesValue, int]:
+# dirichlet_L_auto's stopping share of the head, and its largest qmax.
+AUTO_REL_TAIL = 0.01
+AUTO_QMAX_CAP = 4096
+
+
+def dirichlet_L_auto(algo: str, beta: Beta) -> Tuple[SeriesValue, int]:
     """Grow qmax (8, 16, 32, ...) until the tail bound drops below
-    `rel_tail` of the head.
+    ``AUTO_REL_TAIL`` of the head.
 
     No head exceeds the lowest upper bracket end seen so far, so a qmax
-    whose tail bound is not below `rel_tail` times that end cannot stop
+    whose tail bound is not below that share of that end cannot stop
     the growth.  The request fails as soon as the first qmax that could
-    stop it lies beyond `qmax_cap` or beyond the capacity of
+    stop it lies beyond ``AUTO_QMAX_CAP`` or beyond the capacity of
     ``dirichlet_L``, before that head is computed.
     """
     b = _as_beta(beta)
@@ -364,15 +364,15 @@ def dirichlet_L_auto(
     upper = math.inf
     while True:
         sv = dirichlet_L(algo, b, qmax)
-        if sv.tail_bound < rel_tail * sv.value:
+        if sv.tail_bound < AUTO_REL_TAIL * sv.value:
             return sv, qmax
         upper = min(upper, sv.upper)
         need = 2 * qmax
-        while need < qmax_cap and not _dirichlet_tail(b, need) < rel_tail * upper:
+        while need < AUTO_QMAX_CAP and not _dirichlet_tail(b, need) < AUTO_REL_TAIL * upper:
             need *= 2
-        if qmax >= qmax_cap or not _dirichlet_tail(b, need) < rel_tail * upper:
+        if qmax >= AUTO_QMAX_CAP or not _dirichlet_tail(b, need) < AUTO_REL_TAIL * upper:
             raise CapacityError(
-                f"tail below {rel_tail} of the head needs qmax beyond {qmax_cap}"
+                f"tail below {AUTO_REL_TAIL} of the head needs qmax beyond {AUTO_QMAX_CAP}"
             )
         _check_dirichlet(algo, b, need)
         qmax *= 2
@@ -420,13 +420,6 @@ class AsymptoticRow:
     L_tail_bound: float
 
 
-def _series_for_main_term(algo: str, beta: Fraction, rel_tail: float = 0.01) -> SeriesValue:
-    if algo == ALGO_CLASSICAL:
-        return classical_L(2 * beta)
-    sv, _ = dirichlet_L_auto(algo, 3 * beta, rel_tail)
-    return sv
-
-
 def main_term(algo: str, n: int, beta: Beta, series_value: float) -> float:
     """Predicted moment: the series coefficient over the depth power."""
     bf = float(_as_beta(beta))
@@ -448,10 +441,11 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
     if n_lo < 2 or n_hi < n_lo:
         raise InvalidInputError("need 2 <= n_lo <= n_hi")
     _check_moment_args(algo, n_hi, b)
-    series = _series_for_main_term(algo, b)
     if algo == ALGO_CLASSICAL:
+        series = classical_L(2 * b)
         sigmas = classical_moment_sweep(n_hi, b)
     else:
+        series, _ = dirichlet_L_auto(algo, 3 * b)
         sigmas = moment_sweep(algo, n_hi, b, jobs=jobs)
     rows = []
     for n in range(n_lo, n_hi + 1):
@@ -478,7 +472,7 @@ def summability_bound(algo: str, beta: Beta) -> float:
     raise InvalidInputError(f"no summability bound for algorithm {algo!r}")
 
 
-def cumulative_moment_check(algo: str, beta: Beta, n_max: int, jobs: int = 1) -> Tuple[float, float]:
+def cumulative_moment_check(algo: str, beta: Beta, n_max: int) -> Tuple[float, float]:
     """(partial sum of moments for n <= n_max, bound it must stay under)."""
-    sigmas = moment_sweep(algo, n_max, beta, jobs=jobs)
+    sigmas = moment_sweep(algo, n_max, beta)
     return fsum(sigmas), summability_bound(algo, beta)

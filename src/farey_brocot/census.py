@@ -201,21 +201,21 @@ def expected_degree_histogram_a(n: int) -> Dict[int, int]:
 
 def split_degrees(
     algo: str, deg: Dict[Vec, int], older: Dict[Vec, int]
-) -> Tuple[Dict[LatticeVector, int], Dict[LatticeVector, int]]:
-    """(stable, frontier) degrees at depth n from the degree maps at
-    depths n and n-1 (empty below depth 0).
+) -> Tuple[Dict[Vec, int], Dict[Vec, int]]:
+    """(stable, frontier) degrees at depth n, each in sorted vector
+    order, from the degree maps at depths n and n-1 (empty below depth 0).
 
     The frontier is the vertices new at depth n.  For algorithm A every
     vertex is stable; for algorithm B the frontier is excluded because
     its degrees are still transient.
     """
-    stable: Dict[LatticeVector, int] = {}
-    frontier: Dict[LatticeVector, int] = {}
+    stable: Dict[Vec, int] = {}
+    frontier: Dict[Vec, int] = {}
     for v, d in sorted(deg.items()):
         if v not in older:
-            frontier[LatticeVector(*v)] = d
+            frontier[v] = d
         if algo == ALGO_A or v in older:
-            stable[LatticeVector(*v)] = d
+            stable[v] = d
     return stable, frontier
 
 

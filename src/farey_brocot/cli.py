@@ -129,18 +129,7 @@ def _do_asym(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
     lo, hi = _parse_range(args.n)
     rows = analysis.asymptotic_sweep(args.algo, beta, lo, hi, jobs=args.jobs)
-    table = [
-        {
-            "n": r.n,
-            "beta": r.beta,
-            "sigma": r.sigma,
-            "main_term": r.main_term,
-            "ratio": r.ratio,
-            "L_value": r.L_value,
-            "L_tail_bound": r.L_tail_bound,
-        }
-        for r in rows
-    ]
+    table = [{c: getattr(r, c) for c in ASYM_CSV_COLUMNS} for r in rows]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=ASYM_CSV_COLUMNS)

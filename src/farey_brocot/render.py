@@ -9,12 +9,11 @@ bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Set, Tuple
 
-from .core import CapacityError, InvalidInputError, LatticeVector
+from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, initial_vectors
-from .tiling import brocot_level, iter_triangles
+from .tiling import brocot_level, iter_bases_at
 
 RENDER_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 16, ALGO_CLASSICAL: 16}
 _SIZE, _MARGIN = 800, 40  # canvas width in pixels and the blank border inside it
@@ -54,34 +53,31 @@ def render_svg(
 def _render_square(algo: str, depth: int, labels: bool, label_cap: int) -> str:
     span = _SIZE - 2 * _MARGIN
 
-    def sx(v: Fraction) -> str:
-        return _fmt(_MARGIN + float(v) * span)
-
-    def sy(v: Fraction) -> str:
-        return _fmt(_MARGIN + (1.0 - float(v)) * span)
+    def xy(v: Vec) -> Tuple[str, str]:
+        # Int true division is correctly rounded, so a1 / q is the float
+        # of the reduced fraction a1/q.
+        q, a1, a2 = v
+        return _fmt(_MARGIN + a1 / q * span), _fmt(_MARGIN + (1.0 - a2 / q) * span)
 
     out: List[str] = [_HEADER.format(w=_SIZE, h=_SIZE)]
     out.append(f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="white"/>\n')
     out.append('<g fill="none" stroke="#555" stroke-width="0.6">\n')
-    verts: Set[Tuple[int, int, int]] = set()
-    for tri in iter_triangles(algo, depth):
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in tri.points())
+    verts: Set[Vec] = set()
+    for basis in iter_bases_at(algo, depth):
+        pts = " ".join(",".join(xy(v)) for v in basis)
         out.append(f'<polygon points="{pts}"/>\n')
-        verts.update(tuple(v) for v in tri.vertices)
+        verts.update(basis)
     out.append("</g>\n")
     out.append('<g fill="none" stroke="#000" stroke-width="2">\n')
     for basis in initial_vectors(algo):
-        pts = [LatticeVector(*v).point() for v in basis]
-        d = "M " + " L ".join(f"{sx(x)} {sy(y)}" for x, y in pts) + " Z"
+        d = "M " + " L ".join(" ".join(xy(v)) for v in basis) + " Z"
         out.append(f'<path d="{d}"/>\n')
     out.append("</g>\n")
     if labels:
         out.append('<g font-family="monospace" font-size="10" fill="#a00">\n')
         for q, a1, a2 in sorted(verts)[:label_cap]:
-            x, y = Fraction(a1, q), Fraction(a2, q)
-            out.append(
-                f'<text x="{sx(x)}" y="{sy(y)}">({a1},{a2})/{q}</text>\n'
-            )
+            x, y = xy((q, a1, a2))
+            out.append(f'<text x="{x}" y="{y}">({a1},{a2})/{q}</text>\n')
         out.append("</g>\n")
     out.append("</svg>\n")
     return "".join(out)

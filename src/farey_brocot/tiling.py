@@ -165,11 +165,15 @@ class DescentChain:
         return [s.triangle for s in self.steps]
 
     def vertex_depth(self) -> Optional[int]:
-        """First depth at which theta itself is a vertex, if any."""
+        """First depth at which theta itself is a vertex, if any.
+
+        Vertices and theta's vector are primitive, so equal points are
+        equal vectors.
+        """
+        target = point_vector(self.theta)
         for s in self.steps:
-            for v in s.triangle.vertices:
-                if v.point() == self.theta:
-                    return s.triangle.depth
+            if target in s.triangle.vertices:
+                return s.triangle.depth
         return None
 
 

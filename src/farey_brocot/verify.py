@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     InvalidInputError,
-    LatticeVector,
     Vec,
     coordinates,
     det3,
@@ -365,7 +364,7 @@ def _completeness(algo: str, limit: int) -> Found:
                 if gcd(gcd(q, a1), a2) != 1:
                     continue
                 checked += 1
-                depth = found.get(LatticeVector(q, a1, a2))
+                depth = found.get((q, a1, a2))
                 if depth is None:
                     return params, checked, {"missing": [q, a1, a2]}
                 if algo == ALGO_A and depth > q:
@@ -404,14 +403,14 @@ def _degree_set(algo: str, limit: int) -> Found:
     splits = [split_degrees(algo, deg, older) for older, deg in pairwise(maps)]
     # Grades are fixed at creation, so a table cut at the largest stable
     # denominator grades the compared vectors as the qmax-60 table does.
-    largest = max((v.x for stable, _ in splits for v in stable), default=0)
+    largest = max((v[0] for stable, _ in splits for v in stable), default=0)
     table = stable_degree_table(algo, min(60, largest)) if largest else {}
     for n, (stable, frontier) in enumerate(splits, 1):
         for v, d in stable.items():
             checked += 1
             if d not in DEGREE_SET[algo]:
                 return params, checked, {"depth": n, "vertex": list(v), "degree": d}
-            if v.x <= 60 and table[v] != d:
+            if v[0] <= 60 and table[v] != d:
                 return params, checked, {"depth": n, "vertex": list(v), "degree": d,
                                          "graded": table[v]}
         if algo == ALGO_B:
@@ -438,9 +437,9 @@ def _degree_stability(algo: str, limit: int) -> Found:
             later = maps[k]
             for v, d in stable.items():
                 checked += 1
-                if later[tuple(v)] != d:
+                if later[v] != d:
                     return params, checked, {"vertex": list(v), "depth": n, "later_depth": n + k,
-                                             "degree": d, "later_degree": later[tuple(v)]}
+                                             "degree": d, "later_degree": later[v]}
     return params, checked, None
 
 

@@ -147,4 +147,5 @@ def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]
     if n < 1:
         raise InvalidInputError("stable degrees need depth >= 1")
     older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
-    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
+    stable, _ = split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)
+    return {LatticeVector(*v): d for v, d in stable.items()}

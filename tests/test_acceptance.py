@@ -223,7 +223,7 @@ def _archive_rows(path, rows):
 
 def test_criterion_11_main_term_trends(sweep_a9, sweep_b20):
     for algo, sweep, lo, hi in (("a", sweep_a9, 3, 9), ("b", sweep_b20, 4, 20)):
-        series, _ = dirichlet_L_auto(algo, 6, rel_tail=0.01)
+        series, _ = dirichlet_L_auto(algo, 6)
         assert series.tail_bound < 0.01 * series.value
         rows = []
         for n in range(lo, hi + 1):

@@ -316,6 +316,14 @@ def test_exact_classical_order_one_budget():
     assert exact_mode("classical", 20, 1) and not exact_mode("classical", 21, 1)
 
 
+def test_exact_order_one_budget_2d():
+    _raises_fast(moment, "a", 9, 1, exact=True)
+    _raises_fast(exact_unit_sum, "b", 23)
+    # Without exact=True, a/9 and b/23 fall back to the float sweep.
+    assert exact_mode("a", 8, 1) and not exact_mode("a", 9, 1)
+    assert exact_mode("b", 22, 1) and not exact_mode("b", 23, 1)
+
+
 def test_locate_capacity_raises_before_work():
     point = (Fraction(3, 7), Fraction(2, 9))
     _raises_fast(locate, "a", point, LOCATE_DEPTH_CAP + 1)

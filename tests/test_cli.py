@@ -84,6 +84,24 @@ def test_render_svg_pinned_hash(tmp_path, algo, depth):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SVG_SHA256[algo, depth]
 
 
+# SHA-256 of the SVG files, recorded while the square renderer still read
+# Triangle points as Fractions: the benchmark's two renders and label caps
+# that cut the labels short.
+PINNED_SVG_OPTIONS_SHA256 = {
+    "render --algo a --depth 5": "ba3cbcdf6db6c47676d04f0b7a92a2c1cfa46ae145ec89ea9b1acbb133f8600d",
+    "render --algo b --depth 12 --labels": "97a64217f6c00f1f52d61ff92b02d4a42de678636fb9e4d33bd0a99e8834be93",
+    "render --algo a --depth 2 --labels --label-cap 0": "b0d38d5bdfdd3a66b94139e68861096cdb9724ef100a04048ada04b330d8e42b",
+    "render --algo b --depth 4 --labels --label-cap 3": "34bef6168b16e154c9dab4d051cb9e2fa4832defef0f00ad6153bd26399183fa",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_SVG_OPTIONS_SHA256))
+def test_render_svg_options_pinned_hash(tmp_path, command):
+    out = tmp_path / "t.svg"
+    run_cli(*command.split(), "--out", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SVG_OPTIONS_SHA256[command]
+
+
 # SHA-256 of the canonical result (sorted-key JSON), recorded before the
 # Basis class was folded into Triangle and verify's per-depth walks into
 # one.

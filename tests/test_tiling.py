@@ -218,7 +218,7 @@ def test_located_triangle_belongs_to_tiling():
             assert chain.steps[-1].triangle.vertices in tiles
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,3 +237,33 @@ def test_locate_chain_properties(q1, q2, n1, n2, algo):
         assert min(step.coefficients) >= 0
         assert abs(det3(*step.triangle.vertices)) == 1
         assert step.triangle.contains(theta)
+
+
+def _vertex_depth_by_points(chain):
+    # The definition on rational points: the first step with a vertex
+    # whose projection is theta.
+    for s in chain.steps:
+        for v in s.triangle.vertices:
+            if v.point() == chain.theta:
+                return s.triangle.depth
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from(["a", "b"]),
+)
+# two corners, an edge midpoint and an edge point off the dyadic grid
+@example(1, 1, 0, 0, "a")
+@example(1, 1, 1, 1, "b")
+@example(2, 1, 1, 0, "b")
+@example(3, 1, 2, 1, "a")
+def test_vertex_depth_matches_the_point_definition(q1, q2, n1, n2, algo):
+    # a numerator of 0 or at least the denominator puts theta on an edge
+    theta = (Fraction(min(n1, q1), q1), Fraction(min(n2, q2), q2))
+    chain = locate(algo, theta, 12)
+    assert chain.vertex_depth() == _vertex_depth_by_points(chain)
