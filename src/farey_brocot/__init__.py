@@ -12,7 +12,6 @@ from .core import (
     DomainError,
     InvalidInputError,
     InvariantViolationError,
-    LatticeVector,
     Triangle,
     det3,
     shoelace_area,
@@ -61,7 +60,6 @@ __all__ = [
     "DomainError",
     "InvalidInputError",
     "InvariantViolationError",
-    "LatticeVector",
     "MomentValue",
     "SeriesValue",
     "Triangle",

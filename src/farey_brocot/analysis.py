@@ -1,8 +1,9 @@
 """Zeta values, tiling moments, Dirichlet series, asymptotic diagnostics.
 
 Moments are exact rationals whenever the order is a positive integer
-and the computation fits the exact-mode budget, which is larger at
-order 1.  Exact sums are merged pairwise, as a balanced tree.
+and the computation fits the exact-mode budget: a cell count, larger at
+order 1, and above order 1 a bound on the size of the result.  Exact
+sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition (or a Kahan sum in descent order for
@@ -43,6 +44,15 @@ EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # depth 20, 4.1 s at 21, 7.9 s at 22 and 13.9 s at 23 (2 CPUs, CPython
 # 3.11), so depth 22 is the last within the Dirichlet heads' ~7 s budget.
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
+# An exact moment of order e >= 2 has a denominator dividing L^e, where L
+# is the lcm of the depth-n cells' measure denominators (2pqr, or qr for
+# an interval), and a numerator below it, so both have fewer than
+# e * bits(L) bits.  CPython converts ints of at most 4,300 digits (about
+# 14,284 bits) to text.  Within the cell cap bits(L) is at most 418 (a/6),
+# 169 (b/15) and 2,902 (classical/16), so the cap admits orders up to 33,
+# 82 and 4 there, which take 0.15, 0.20 and 0.31 s; classical/16 at order
+# 20 (17,470 digits) would take 2.1 s (2 CPUs, CPython 3.11).
+EXACT_BITS_CAP = 14_000
 
 MAX_DEGREE = 8
 # Primitive points with a fixed denominator q number at most (4/3) q^2.
@@ -212,8 +222,30 @@ def _check_moment_args(algo: str, n: int, beta: Beta) -> None:
         raise InvalidInputError("depth must be nonnegative")
     if n > cap:
         raise CapacityError(f"moment depth {n} exceeds capacity {cap} for {algo!r}")
-    if _as_beta(beta) < 1:
+    b = _as_beta(beta)
+    if b < 1:
         raise DomainError("moment order must be >= 1")
+    try:
+        float(b)
+    except OverflowError:
+        raise DomainError("moment order is beyond the float range") from None
+
+
+def _lcm_bits(algo: str, n: int) -> int:
+    """Bit length of the lcm of the depth-n cells' measure denominators."""
+    if algo == ALGO_CLASSICAL:
+        # Endpoint denominators, left to right.  Neighbours are coprime,
+        # so the lcm of the products qr is the lcm of the endpoints.
+        row = [1, 1]
+        for _ in range(n):
+            nxt = [0] * (2 * len(row) - 1)
+            nxt[::2] = row
+            nxt[1::2] = map(operator.add, row, row[1:])
+            row = nxt
+        return math.lcm(*set(row)).bit_length()
+    for level in level_q_counts(algo, n):
+        pass
+    return math.lcm(*{2 * p * q * r for p, q, r in level}).bit_length()
 
 
 def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> bool:
@@ -221,20 +253,27 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
     arithmetic; raises what the moment itself would for a bad request."""
     _check_moment_args(algo, n, beta)
     b = _as_beta(beta)
-    integral = b.denominator == 1
+    if exact is False:
+        return False
+    if b.denominator != 1:
+        if exact:
+            raise DomainError("exact mode needs an integer order")
+        return False
     faces = face_count(algo, n) if algo != ALGO_CLASSICAL else 2**n
     cap = EXACT_UNIT_CAP[algo] if b == 1 else EXACT_FACE_CAP
-    affordable = integral and faces <= cap
-    if exact is None:
-        return affordable
-    if exact and not integral:
-        raise DomainError("exact mode needs an integer order")
-    if exact and not affordable:
-        raise CapacityError(
-            f"exact mode for order {b} is capped at {cap} cells; "
-            f"depth {n} has {faces}"
+    if faces > cap:
+        refusal = f"exact mode for order {b} is capped at {cap} cells; depth {n} has {faces}"
+    else:
+        bits = int(b) * _lcm_bits(algo, n) if b > 1 else 0
+        if bits <= EXACT_BITS_CAP:
+            return True
+        refusal = (
+            f"an exact moment of order {b} at depth {n} may need {bits} bits; "
+            f"the cap is {EXACT_BITS_CAP}"
         )
-    return exact
+    if exact:
+        raise CapacityError(refusal)
+    return False
 
 
 # --- classical (1-d) moments ------------------------------------------------
@@ -441,6 +480,12 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
     if n_lo < 2 or n_hi < n_lo:
         raise InvalidInputError("need 2 <= n_lo <= n_hi")
     _check_moment_args(algo, n_hi, b)
+    try:  # the depth power grows with n, so n_hi's is the largest
+        main_term(algo, n_hi, b, 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"the main term at n = {n_hi} for order {b} is beyond the float range"
+        ) from None
     if algo == ALGO_CLASSICAL:
         series = classical_L(2 * b)
         sigmas = classical_moment_sweep(n_hi, b)

@@ -33,12 +33,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, Iterable, List, Set, Tuple
 
-from .core import CapacityError, InvalidInputError, LatticeVector, Vec
+from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
 from .tiling import RawBasis, _step, descend, face_count, iter_bases_at
 from ._jobs import run_tasks
 
-CENSUS_DEPTH_CAP = {ALGO_A: 8, ALGO_B: 20}
+# One CLI run each (2 CPUs, CPython 3.11): a/6 takes 0.49 s and 48 MiB,
+# a/7 3.35 s and 193.5 MiB, b/17 1.40 s and 101.6 MiB (1.61 s and
+# 103.6 MiB with --jobs 2), b/18 3.11 s and 221.8 MiB; so a/7 and b/18
+# exceed the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap.
+CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
 
 DEGREE_SET = {ALGO_A: frozenset({2, 3, 5, 8}), ALGO_B: frozenset({3, 5, 8})}
 
@@ -239,7 +243,7 @@ _INITIAL_DEGREES = {
 }
 
 
-def stable_degree_table(algo: str, qmax: int) -> Dict[LatticeVector, int]:
+def stable_degree_table(algo: str, qmax: int) -> Dict[Vec, int]:
     """Stable degree of every primitive vector with denominator <= qmax.
 
     Runs the same pruned descent as ``vertices_up_to`` and grades each
@@ -271,7 +275,7 @@ def stable_degree_table(algo: str, qmax: int) -> Dict[LatticeVector, int]:
     roots = [r for r in initial_vectors(algo) if min_new_denominator(algo, r) <= qmax]
     for _ in descend(roots, expand):
         pass
-    return {LatticeVector(*v): d for v, d in sorted(deg.items()) if v[0] <= qmax}
+    return {v: d for v, d in sorted(deg.items()) if v[0] <= qmax}
 
 
 # --- degree counts per denominator ------------------------------------------

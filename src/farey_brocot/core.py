@@ -1,15 +1,16 @@
 """Exact integer and rational primitives for Farey-Brocot partitions.
 
-Everything here is exact: lattice vectors are primitive integer triples
-(x, y1, y2) with arbitrary-precision components, and projected points
-are pairs of ``fractions.Fraction``.  Geometric decisions are signs of
-integer determinants of lattice vectors: a point lies in a cell exactly
-when its vector has nonnegative integer coordinates in the cell's basis
-(``coordinates``).
+Everything here is exact: a vertex is a primitive integer vector, the
+plain tuple (q, a1, a2) with q >= 1, standing for the point (a1/q, a2/q),
+and projected points are pairs of ``fractions.Fraction``.  Geometric
+decisions are signs of integer determinants of lattice vectors: a point
+lies in a cell exactly when its vector has nonnegative integer
+coordinates in the cell's basis (``coordinates``).
 
-The engines step raw integer triples; the one object type for a cell is
-``Triangle``, a unimodular basis of three ``LatticeVector`` values with
-the depth, rule and code it was reached by.
+The engines step those tuples, and every public result hands them out
+as they are; the one object type for a cell is ``Triangle``, a
+unimodular basis of three such vectors with the depth, rule and code it
+was reached by.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class InvalidInputError(ValueError):
@@ -34,17 +35,6 @@ class CapacityError(RuntimeError):
 
 class InvariantViolationError(ValueError):
     """An internal invariant (e.g. unimodularity) failed to hold."""
-
-
-class LatticeVector(NamedTuple):
-    """Primitive integer vector (x, y1, y2), x >= 1, gcd of components 1."""
-
-    x: int
-    y1: int
-    y2: int
-
-    def point(self) -> Tuple[Fraction, Fraction]:
-        return Fraction(self.y1, self.x), Fraction(self.y2, self.x)
 
 
 Vec = Tuple[int, int, int]
@@ -94,13 +84,13 @@ class Triangle:
     incidental for algorithm A.
     """
 
-    vertices: Tuple[LatticeVector, LatticeVector, LatticeVector]
+    vertices: Tuple[Vec, Vec, Vec]
     depth: int = 0
     algo: str = "a"
     code: Tuple = ()
 
     def points(self) -> Tuple[Point, Point, Point]:
-        return tuple(v.point() for v in self.vertices)
+        return tuple((Fraction(a1, q), Fraction(a2, q)) for q, a1, a2 in self.vertices)
 
     def denominators(self) -> Tuple[int, int, int]:
         return tuple(v[0] for v in self.vertices)

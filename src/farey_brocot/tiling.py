@@ -23,7 +23,6 @@ from .core import (
     CapacityError,
     InvalidInputError,
     InvariantViolationError,
-    LatticeVector,
     Point,
     Triangle,
     Vec,
@@ -119,7 +118,7 @@ def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
     roots = [(r, (), False) for r in initial_vectors(algo)]
     for (basis, code, _), d in descend(roots, expand):
         if d == n:
-            yield Triangle(tuple(LatticeVector(*v) for v in basis), d, algo, code)
+            yield Triangle(basis, d, algo, code)
 
 
 def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
@@ -201,7 +200,7 @@ def locate(algo: str, theta: Point, n: int) -> DescentChain:
         for idx, basis in enumerate(candidates):
             coeffs = coordinates(basis, target)
             if min(coeffs) >= 0:
-                tri = Triangle(tuple(LatticeVector(*v) for v in basis), depth, algo)
+                tri = Triangle(basis, depth, algo)
                 steps.append(DescentStep(tri, idx, tuple(Fraction(c, den) for c in coeffs)))
                 candidates = kids(*basis)
                 break
@@ -213,7 +212,7 @@ def locate(algo: str, theta: Point, n: int) -> DescentChain:
 # --- vertex harvesting -----------------------------------------------------
 
 
-def vertices_up_to(algo: str, qmax: int) -> Dict[LatticeVector, int]:
+def vertices_up_to(algo: str, qmax: int) -> Dict[Vec, int]:
     """Every primitive vector with denominator <= qmax, mapped to the
     smallest depth at which it occurs as a basis vector.
 
@@ -233,7 +232,7 @@ def vertices_up_to(algo: str, qmax: int) -> Dict[LatticeVector, int]:
                 known = first.get(v)
                 if known is None or d < known:
                     first[v] = d
-    return {LatticeVector(*v): d for v, d in sorted(first.items())}
+    return dict(sorted(first.items()))
 
 
 # --- multiplicity engine over denominator triples --------------------------

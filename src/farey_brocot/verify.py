@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import gcd
@@ -72,15 +72,7 @@ class CheckReport:
     witness: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "algo": self.algo,
-            "params": self.params,
-            "status": self.status,
-            "checked": self.checked,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 class Skipped(Exception):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from farey_brocot.census import degrees_at, split_degrees
-from farey_brocot.core import InvalidInputError, LatticeVector, Point, Triangle, Vec, shoelace_area
+from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
 from farey_brocot.subdivision import ALGO_B, child_vectors_a
 
 
@@ -76,7 +76,7 @@ def _line_intersection(a: Point, b: Point, p: Point, q: Point) -> Point:
 
 
 def _points(vectors: Sequence[Vec]) -> List[Point]:
-    return [LatticeVector(*v).point() for v in vectors]
+    return [(Fraction(a1, q), Fraction(a2, q)) for q, a1, a2 in vectors]
 
 
 def clip_inside(inner: Sequence[Vec], outer: Sequence[Vec]) -> bool:
@@ -133,7 +133,7 @@ def _validate_chain_a(chain: Sequence[Triangle]) -> None:
     for parent, child in zip(chain, chain[1:]):
         wanted = frozenset(child.vertices)
         options = child_vectors_a(*parent.vertices)
-        if not any(frozenset(LatticeVector(*v) for v in ch) == wanted for ch in options):
+        if not any(frozenset(ch) == wanted for ch in options):
             raise InvalidInputError(
                 f"broken chain: {child.vertices} is not a child of {parent.vertices}"
             )
@@ -142,10 +142,9 @@ def _validate_chain_a(chain: Sequence[Triangle]) -> None:
 # --- measured degrees -------------------------------------------------------
 
 
-def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[LatticeVector, int]:
+def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     """Degrees that already equal their value in the infinite graph."""
     if n < 1:
         raise InvalidInputError("stable degrees need depth >= 1")
     older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
-    stable, _ = split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)
-    return {LatticeVector(*v): d for v, d in stable.items()}
+    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]

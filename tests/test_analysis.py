@@ -11,9 +11,11 @@ from farey_brocot.core import CapacityError, DomainError, InvalidInputError
 from farey_brocot.census import stable_degree_table
 from farey_brocot.tiling import LOCATE_DEPTH_CAP, iter_intervals, iter_triangles, locate
 from farey_brocot.analysis import (
+    EXACT_BITS_CAP,
     MAX_DEGREE,
     PRIMITIVE_DENSITY,
     SeriesValue,
+    _lcm_bits,
     asymptotic_sweep,
     classical_L,
     classical_L_direct,
@@ -256,10 +258,10 @@ def _table_dirichlet_L(algo, beta, qmax):
     b = Fraction(beta)
     table = _table(algo, qmax)
     if b.denominator == 1:
-        head = float(sum(Fraction(d, v.x ** int(b)) for v, d in sorted(table.items())))
+        head = float(sum(Fraction(d, v[0] ** int(b)) for v, d in sorted(table.items())))
     else:
         bf = float(b)
-        head = math.fsum(d * float(v.x) ** -bf for v, d in sorted(table.items()))
+        head = math.fsum(d * float(v[0]) ** -bf for v, d in sorted(table.items()))
     tail = float(MAX_DEGREE * PRIMITIVE_DENSITY) * qmax ** (3.0 - float(b)) / (float(b) - 3.0)
     return SeriesValue(head, tail, len(table))
 
@@ -289,9 +291,9 @@ def test_rule_b_series_closed_form_in_bracket(beta):
             assert lo <= truth <= lo + mpmath.mpf(sv.tail_bound), (qmax, sv)
 
 
-def _raises_fast(fn, *args, **kwargs):
+def _raises_fast(fn, *args, error=CapacityError, **kwargs):
     t0 = time.perf_counter()
-    with pytest.raises(CapacityError):
+    with pytest.raises(error):
         fn(*args, **kwargs)
     assert time.perf_counter() - t0 < 1.0
 
@@ -344,3 +346,55 @@ def test_classical_direct_sum_sieve_capacity():
     _raises_fast(classical_L_direct, 4, 65537)
     _raises_fast(classical_L_direct, 4, 10**8)
     assert classical_L_direct(4, 65536).terms_used == 65536
+
+
+@pytest.mark.parametrize("algo,n", [("a", 0), ("a", 3), ("b", 1), ("b", 9), ("classical", 0), ("classical", 7)])
+def test_lcm_bits_match_the_cell_measures(algo, n):
+    if algo == "classical":
+        dens = [(v - u).denominator for u, v in iter_intervals(n)]
+    else:
+        dens = [tri.area().denominator for tri in iter_triangles(algo, n)]
+    assert _lcm_bits(algo, n) == math.lcm(*dens).bit_length()
+
+
+@pytest.mark.parametrize("algo,n,top", [("a", 6, 33), ("b", 15, 82), ("classical", 16, 4)])
+def test_exact_order_bound(algo, n, top):
+    # the largest exact order at the deepest exact depth, and the next
+    assert exact_mode(algo, n, top) and not exact_mode(algo, n, top + 1)
+    _raises_fast(moment, algo, n, top + 1, exact=True)
+    # a default request beyond the bound falls back to the float sweep
+    m = moment(algo, n, top + 1)
+    sweep = classical_moment_sweep(n, top + 1) if algo == "classical" else moment_sweep(algo, n, top + 1)
+    assert not m.exact and m.value == sweep[n]
+
+
+@pytest.mark.parametrize("algo,n,e", [("a", 3, 40), ("b", 12, 60), ("classical", 12, 20)])
+def test_exact_moment_size_within_the_bound(algo, n, e):
+    # the denominator divides lcm^e and the numerator is smaller
+    value = moment(algo, n, e, exact=True).value
+    assert value.numerator < value.denominator
+    assert value.denominator.bit_length() <= e * _lcm_bits(algo, n) <= EXACT_BITS_CAP
+    assert len(str(value.denominator)) <= 4300
+
+
+def test_exact_order_bound_raises_before_work():
+    _raises_fast(moment, "classical", 16, 20, exact=True)
+    _raises_fast(moment, "b", 4, 10**6, exact=True)
+    # these stay exact: the benchmark's requests, sigma1 and criterion 3
+    assert exact_mode("classical", 15, 2) and exact_mode("b", 15, 3)
+    assert exact_mode("a", 7, 1) and exact_mode("b", 20, 1)
+
+
+def test_order_beyond_the_float_range():
+    huge = Fraction(10**400)  # --beta 1e400
+    _raises_fast(moment, "b", 4, huge, error=DomainError)
+    _raises_fast(moment, "b", 4, huge, exact=True, error=DomainError)
+    _raises_fast(classical_moment, 3, huge, error=DomainError)
+    _raises_fast(moment_sweep, "a", 2, huge, error=DomainError)
+
+
+@pytest.mark.parametrize("algo,beta", [("a", 400), ("b", 600), ("classical", 700)])
+def test_main_term_beyond_the_float_range(algo, beta):
+    # raised before the series and the moment sweep are computed
+    _raises_fast(asymptotic_sweep, algo, beta, 2, 3, error=DomainError)
+    _raises_fast(asymptotic_sweep, algo, Fraction(10**400), 2, 3, error=DomainError)

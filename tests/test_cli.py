@@ -166,6 +166,34 @@ def test_capacity_error_exit_code():
     assert json.loads(proc.stdout)["error"]["type"] == "capacity"
 
 
+@pytest.mark.parametrize(
+    "command,code,outcome",
+    [
+        # exact orders past the size bound: the float sweep, or an error
+        ("moments --algo a --depth 6 --beta 40", 0, "float"),
+        ("moments --algo b --depth 15 --beta 90", 0, "float"),
+        ("moments --algo b --depth 4 --beta 3000", 0, "float"),
+        ("moments --algo b --depth 4 --beta 1000000", 0, "float"),
+        ("moments --algo classical --depth 16 --beta 20 --exact", 1, "capacity"),
+        ("moments --algo b --depth 4 --beta 1e400", 1, "domain"),
+        # main terms past the float range
+        ("asym --algo a --beta 400 --n 2..3", 1, "domain"),
+        ("asym --algo classical --beta 700 --n 2..3", 1, "domain"),
+        ("classical --depth 3 --beta 700", 1, "domain"),
+    ],
+)
+def test_large_orders_print_one_record(command, code, outcome):
+    # an unbounded exact order would run far past the timeout
+    proc = subprocess.run(CLI + command.split(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    if outcome == "float":
+        assert record["result"]["exact"] is False
+    else:
+        assert record["error"]["type"] == outcome
+
+
 def test_nan_tolerance_rejected():
     proc = run_cli("dirichlet", "--algo", "classical", "--beta", "4", "--tolerance", "nan", check=False)
     assert proc.returncode == 2

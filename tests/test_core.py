@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from farey_brocot.core import (
     InvalidInputError,
-    LatticeVector,
     Triangle,
     coordinates,
     det3,
@@ -22,8 +21,8 @@ from oracles import clip_disjoint, clip_inside, convex_clip, point_in_triangle
 
 def _mediant(u, v):
     # the mediant of two points is the projection of their vectors' sum
-    m = LatticeVector(*vec_add(u, v))
-    return m.point(), m.x
+    q, a1, a2 = vec_add(u, v)
+    return (Fraction(a1, q), Fraction(a2, q)), q
 
 
 def test_mediant_examples():
@@ -48,7 +47,7 @@ def test_det_examples():
 
 
 def _tri(*vecs, depth=0, algo="a"):
-    return Triangle(tuple(LatticeVector(*v) for v in vecs), depth, algo)
+    return Triangle(tuple(vecs), depth, algo)
 
 
 def test_area_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from farey_brocot.core import InvalidInputError, LatticeVector, Triangle, det3
+from farey_brocot.core import InvalidInputError, Triangle, det3
 from farey_brocot.subdivision import child_vectors_a, child_vectors_b, extend_code_a, initial_vectors
 from farey_brocot.tiling import brocot_level, iter_triangles
 
@@ -12,11 +12,11 @@ from oracles import code_a_from_chain
 
 
 def _points(basis):
-    return [LatticeVector(*v).point() for v in basis]
+    return [(Fraction(a1, q), Fraction(a2, q)) for q, a1, a2 in basis]
 
 
 def _area(basis):
-    return Triangle(tuple(LatticeVector(*v) for v in basis)).area()
+    return Triangle(tuple(basis)).area()
 
 
 def test_initial_a_projections():
@@ -105,7 +105,7 @@ def test_brocot_level_size(n):
 
 
 def _tri(basis, depth=0):
-    return Triangle(tuple(LatticeVector(*v) for v in basis), depth, "a")
+    return Triangle(tuple(basis), depth, "a")
 
 
 def _chain_by_rules(rules):

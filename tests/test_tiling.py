@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from farey_brocot.census import stable_degree_table
 from farey_brocot.core import InvalidInputError, det3, vec_add
 from farey_brocot.tiling import (
     descend,
@@ -80,7 +81,7 @@ def test_coded_counts_match_geometry(n):
     for (p, q, r, rlen, _), c in level.items():
         coded[(p, q, r), rlen] += c
     geometric = Counter(
-        (tuple(v.x for v in tri.vertices), len(tri.code)) for tri in iter_triangles("a", n)
+        (tuple(v[0] for v in tri.vertices), len(tri.code)) for tri in iter_triangles("a", n)
     )
     assert coded == geometric
 
@@ -153,14 +154,14 @@ def test_locate_deterministic():
 
 def test_vertices_up_to_small():
     got = vertices_up_to("a", 1)
-    assert {tuple(v): d for v, d in got.items()} == {
+    assert got == {
         (1, 0, 0): 0,
         (1, 1, 0): 0,
         (1, 0, 1): 0,
         (1, 1, 1): 0,
     }
     got2 = vertices_up_to("a", 2)
-    new = {tuple(v): d for v, d in got2.items() if v.x == 2}
+    new = {v: d for v, d in got2.items() if v[0] == 2}
     assert new == {
         (2, 1, 0): 1,
         (2, 0, 1): 1,
@@ -184,7 +185,7 @@ def _primitive_count(qmax):
 def test_vertices_up_to_count_oracle(algo):
     got = vertices_up_to(algo, 10)
     assert len(got) == _primitive_count(10)
-    assert all(v.x <= 10 for v in got)
+    assert all(v[0] <= 10 for v in got)
 
 
 def test_iter_intervals_partition():
@@ -244,7 +245,7 @@ def _vertex_depth_by_points(chain):
     # whose projection is theta.
     for s in chain.steps:
         for v in s.triangle.vertices:
-            if v.point() == chain.theta:
+            if (Fraction(v[1], v[0]), Fraction(v[2], v[0])) == chain.theta:
                 return s.triangle.depth
     return None
 
@@ -267,3 +268,12 @@ def test_vertex_depth_matches_the_point_definition(q1, q2, n1, n2, algo):
     theta = (Fraction(min(n1, q1), q1), Fraction(min(n2, q2), q2))
     chain = locate(algo, theta, 12)
     assert chain.vertex_depth() == _vertex_depth_by_points(chain)
+
+
+@pytest.mark.parametrize("algo", ["a", "b"])
+def test_public_vertices_are_plain_tuples(algo):
+    vertices = [v for tri in iter_triangles(algo, 2) for v in tri.vertices]
+    vertices += [v for s in locate(algo, (Fraction(3, 7), Fraction(2, 9)), 6).steps for v in s.triangle.vertices]
+    vertices += list(vertices_up_to(algo, 6)) + list(stable_degree_table(algo, 6))
+    assert all(type(v) is tuple and len(v) == 3 for v in vertices)
+    assert all(type(t.vertices) is tuple for t in iter_triangles(algo, 2))
