@@ -91,6 +91,15 @@ def _as_beta(beta: Beta) -> Fraction:
     return b
 
 
+def _float_order(b: Fraction, what: str) -> float:
+    # Refused before any message prints the order: past the float range
+    # it can have more digits than int-to-str conversion allows.
+    try:
+        return float(b)
+    except OverflowError:
+        raise DomainError(f"{what} order is beyond the float range") from None
+
+
 # --- Riemann zeta -----------------------------------------------------------
 
 ZETA_TERM_CAP = 50_000_000
@@ -225,10 +234,7 @@ def _check_moment_args(algo: str, n: int, beta: Beta) -> None:
     b = _as_beta(beta)
     if b < 1:
         raise DomainError("moment order must be >= 1")
-    try:
-        float(b)
-    except OverflowError:
-        raise DomainError("moment order is beyond the float range") from None
+    _float_order(b, "moment")
 
 
 def _lcm_bits(algo: str, n: int) -> int:
@@ -348,6 +354,7 @@ def _check_dirichlet(algo: str, b: Fraction, qmax: int) -> None:
     # Everything dirichlet_L(algo, b, qmax) would raise, before it allocates.
     if b <= 3:
         raise DomainError("the 2-d Dirichlet series needs beta > 3")
+    _float_order(b, "Dirichlet")
     check_degree_counts(algo, qmax)
     if b.denominator == 1 and b * qmax > EXACT_HEAD_CAP:
         raise CapacityError(
@@ -419,7 +426,7 @@ def dirichlet_L_auto(algo: str, beta: Beta) -> Tuple[SeriesValue, int]:
 
 def classical_L(beta: Beta, tol: float = 1e-12) -> SeriesValue:
     """Closed form 2 zeta(beta-1) / zeta(beta) of the classical series."""
-    bf = float(_as_beta(beta))
+    bf = _float_order(_as_beta(beta), "Dirichlet")
     if bf <= 2:
         raise DomainError("the classical Dirichlet series needs beta > 2")
     num = zeta(bf - 1.0, tol)
@@ -432,7 +439,7 @@ def classical_L(beta: Beta, tol: float = 1e-12) -> SeriesValue:
 def classical_L_direct(beta: Beta, qmax: int) -> SeriesValue:
     """Totient-sum head 2 sum phi(q)/q^beta; the independent oracle for
     the closed form."""
-    bf = float(_as_beta(beta))
+    bf = _float_order(_as_beta(beta), "Dirichlet")
     if bf <= 2:
         raise DomainError("the classical Dirichlet series needs beta > 2")
     if qmax < 1:

@@ -6,12 +6,16 @@ measured from the actual graph, never from the closed forms; the closed
 forms live in ``expected_counts`` so the two can be compared.
 
 The graph is built in subtrees, one task per triangle at a fixed split
-depth.  ``graph_at`` unions the tasks' edge sets into the whole graph,
+depth.  ``graph_at`` unions every task's edge set into the whole graph,
 which ``census`` counts.  ``degrees_at`` has each task reduce its own
 edges before returning: vertices strictly inside its root triangle get
 their final degree there, and only the rim (the edges along the root's
-sides, the sole ones two tasks can share) is returned as a set; the
-tests compare that reduction against ``graph_at``.
+sides, the sole ones two tasks can share) is returned as a set.  It
+runs one task per orbit of the square's symmetries that keep the
+roots (the point reflection, the transpose and their product), 20 of
+72 for algorithm A and 8 of 32 for algorithm B, and maps that task's
+summary onto the rest of its orbit; the tests compare the result
+against ``graph_at``.
 
 Degrees stabilize once a vertex exists (algorithm A) or one step after
 it appears (algorithm B), and the stable degree is fixed by how the
@@ -31,7 +35,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
@@ -41,7 +45,9 @@ from ._jobs import run_tasks
 # One CLI run each (2 CPUs, CPython 3.11): a/6 takes 0.49 s and 48 MiB,
 # a/7 3.35 s and 193.5 MiB, b/17 1.40 s and 101.6 MiB (1.61 s and
 # 103.6 MiB with --jobs 2), b/18 3.11 s and 221.8 MiB; so a/7 and b/18
-# exceed the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap.
+# exceed the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
+# running one task per symmetry orbit, it takes 0.15 s and 23 MiB at a/6
+# and 0.37 s and 32 MiB at b/17 (one fresh-process run each, same host).
 CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
 
 DEGREE_SET = {ALGO_A: frozenset({2, 3, 5, 8}), ALGO_B: frozenset({3, 5, 8})}
@@ -72,6 +78,8 @@ def _check_capacity(algo: str, n: int) -> None:
 
 
 Edge = Tuple[Vec, Vec]
+# A subtree's graph reduced by ``_graph_task``.
+Summary = Tuple[Dict[Vec, int], Dict[Vec, int], Set[Edge]]
 
 
 def _tasks(algo: str, n: int) -> List[Tuple[str, RawBasis, int]]:
@@ -122,7 +130,7 @@ def _cross(u: Vec, v: Vec) -> Vec:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Dict[Vec, int], Dict[Vec, int], Set[Edge]]:
+def _graph_task(args: Tuple[str, RawBasis, int]) -> Summary:
     """One subtree's graph reduced to ({interior vertex: degree},
     {rim vertex: non-rim edges at it}, rim edges).
 
@@ -148,18 +156,71 @@ def _graph_task(args: Tuple[str, RawBasis, int]) -> Tuple[Dict[Vec, int], Dict[V
     return interior, partial, rim
 
 
+# The unit square's symmetries that keep both rules' roots: the point
+# reflection phi (x, y) -> (1-x, 1-y), the transpose tau (x, y) -> (y, x)
+# and sigma = phi tau.  Each is unimodular and linear on (q, a1, a2), so
+# it commutes with every mediant: the image of a subtree is the subtree
+# of the image root.
+Symmetry = Callable[[int, int, int], Vec]
+_SYMMETRIES: Tuple[Symmetry, ...] = (
+    lambda q, a1, a2: (q, q - a1, q - a2),
+    lambda q, a1, a2: (q, a2, a1),
+    lambda q, a1, a2: (q, q - a2, q - a1),
+)
+
+
+def _orbit_plan(algo: str, tasks: List[Tuple[str, RawBasis, int]]) -> List[Tuple[int, Optional[Symmetry]]]:
+    """For each task, (index of the task to run, symmetry taking that
+    task's summary onto this one's, or None for the task itself).
+
+    The first task of each symmetry orbit is run.  Rule b steps ordered
+    bases, so its orbit key is the basis as it stands; rule a ignores
+    vertex order, so its key is the sorted basis.  Only a task already
+    run is ever a source, so a basis that a symmetry fixes (a rule-a
+    triangle on the diagonal) is never mapped onto itself.
+    """
+    key = tuple if algo == ALGO_B else sorted
+    source: Dict[Tuple[Vec, ...], Tuple[int, Symmetry]] = {}
+    plan: List[Tuple[int, Optional[Symmetry]]] = []
+    for i, (_, basis, _) in enumerate(tasks):
+        mapped = source.get(tuple(key(basis)))
+        if mapped:
+            plan.append(mapped)
+            continue
+        plan.append((i, None))
+        for g in _SYMMETRIES:
+            source.setdefault(tuple(key([g(*v) for v in basis])), (i, g))
+    return plan
+
+
+def _image(summary: Summary, g: Symmetry) -> Summary:
+    interior, partial, rim = summary
+    return (
+        {g(*v): d for v, d in interior.items()},
+        {g(*v): d for v, d in partial.items()},
+        {(a, b) if a < b else (b, a) for a, b in ((g(*u), g(*v)) for u, v in rim)},
+    )
+
+
 def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     """Vertex degree map of the depth-n graph.  Every vertex lies on an
     edge, so the keys are exactly the graph's vertices.
 
     Equal to counting the edges of ``graph_at(algo, n)`` per endpoint,
-    but each subtree task ships only its rim edges and degree counts:
-    the parent joins the degree maps and adds one to both ends of each
-    distinct rim edge.
+    but each subtree task ships only its rim edges and degree counts,
+    and only the first task of each symmetry orbit runs: every other
+    task's summary is that task's, mapped by the symmetry between them.
+    The parent joins the degree maps in task order and adds one to both
+    ends of each distinct rim edge.
     """
+    tasks = _tasks(algo, n)
+    plan = _orbit_plan(algo, tasks)
+    runs = [i for i, (_, g) in enumerate(plan) if g is None]
+    summaries = dict(zip(runs, run_tasks(_graph_task, [tasks[i] for i in runs], jobs)))
     deg: Dict[Vec, int] = {}
     rim: Set[Edge] = set()
-    for interior, partial, trim in run_tasks(_graph_task, _tasks(algo, n), jobs):
+    for i, g in plan:
+        interior, partial, trim = summaries[i] if g is None else _image(summaries[i], g)
         deg.update(interior)
         for v, d in partial.items():
             deg[v] = deg.get(v, 0) + d

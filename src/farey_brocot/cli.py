@@ -104,7 +104,7 @@ def _do_dirichlet(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
     if not args.tolerance > 0:  # also rejects NaN
         raise InvalidInputError(f"tolerance must be positive, got {args.tolerance}")
-    params = {"algo": args.algo, "beta": _frac_str(beta), "qmax": args.qmax}
+    qmax = args.qmax
     if args.algo == ALGO_CLASSICAL:
         sv = analysis.classical_L(beta, tol=args.tolerance)
         result = {
@@ -119,9 +119,10 @@ def _do_dirichlet(args) -> Tuple[Dict, Dict, Dict]:
             result["direct_tail_bound"] = direct.tail_bound
     else:
         qmax = args.qmax or 64
-        params["qmax"] = qmax
         sv = analysis.dirichlet_L(args.algo, beta, qmax)
         result = {"value": sv.value, "tail_bound": sv.tail_bound, "terms_used": sv.terms_used}
+    # echoed only now: an order the series refused may be too long to print
+    params = {"algo": args.algo, "beta": _frac_str(beta), "qmax": qmax}
     return result, params, {"arithmetic": "compensated-float", "tail_bound": sv.tail_bound}
 
 

@@ -393,6 +393,20 @@ def test_order_beyond_the_float_range():
     _raises_fast(moment_sweep, "a", 2, huge, error=DomainError)
 
 
+@pytest.mark.parametrize("huge", [Fraction(10**400), Fraction(10**5000)])
+def test_dirichlet_order_beyond_the_float_range(huge):
+    # refused as a domain error whose message does not print the order
+    for fn, args in (
+        (dirichlet_L, ("a", huge, 64)),
+        (dirichlet_L, ("b", huge, 8)),
+        (dirichlet_L_auto, ("a", huge)),
+        (classical_L, (huge,)),
+        (classical_L_direct, (huge, 10)),
+    ):
+        with pytest.raises(DomainError, match="^Dirichlet order is beyond the float range$"):
+            fn(*args)
+
+
 @pytest.mark.parametrize("algo,beta", [("a", 400), ("b", 600), ("classical", 700)])
 def test_main_term_beyond_the_float_range(algo, beta):
     # raised before the series and the moment sweep are computed

@@ -6,7 +6,10 @@ import pytest
 
 from farey_brocot.core import CapacityError
 from farey_brocot.census import (
+    _SYMMETRIES,
     _graph_task,
+    _image,
+    _orbit_plan,
     _tasks,
     census,
     degree_counts,
@@ -72,9 +75,8 @@ def _whole_graph(algo, n):
     return verts, edges, dict(deg)
 
 
-REDUCED_CASES = [("a", n, jobs) for n in range(6) for jobs in (1, 2)]
-REDUCED_CASES += [("b", n, jobs) for n in range(15) for jobs in (1, 2)]
-REDUCED_CASES += [("a", 6, 2), ("b", 16, 2)]
+REDUCED_CASES = [("a", n, jobs) for n in range(7) for jobs in (1, 2)]
+REDUCED_CASES += [("b", n, jobs) for n in range(17) for jobs in (1, 2)]
 
 
 @pytest.mark.parametrize("algo,n,jobs", REDUCED_CASES)
@@ -97,6 +99,40 @@ def test_task_summaries_count_each_edge_once(algo, n):
     # interior vertices belong to one task only
     interiors = [v for interior, _, _ in summaries for v in interior]
     assert len(interiors) == len(set(interiors))
+
+
+@pytest.mark.parametrize("algo,depths,runs", [("a", range(2, 7), 20), ("b", range(4, 18), 8)])
+def test_orbit_plan_runs_one_task_per_orbit(algo, depths, runs):
+    # from the split depth up: 72 rule-a and 32 rule-b tasks
+    for n in depths:
+        tasks = _tasks(algo, n)
+        plan = _orbit_plan(algo, tasks)
+        assert (len(tasks), sum(g is None for _, g in plan)) == ({"a": 72, "b": 32}[algo], runs)
+        # a mapped task's source is itself run, and comes first
+        assert all(plan[src][1] is None and src < i for i, (src, g) in enumerate(plan) if g)
+
+
+@pytest.mark.parametrize("algo,n", [("a", n) for n in range(5)] + [("b", n) for n in range(13)])
+def test_mapped_summaries_match_their_tasks(algo, n):
+    tasks = _tasks(algo, n)
+    for task, (src, g) in zip(tasks, _orbit_plan(algo, tasks)):
+        if g is not None:
+            assert _image(_graph_task(tasks[src]), g) == _graph_task(task)
+
+
+def test_transpose_fixed_tasks_run():
+    # Rule a's depth-2 triangles on the diagonal are their own transposes,
+    # four under each root.  Those under the first root run; the point
+    # reflection carries them onto those under the second.
+    transpose = _SYMMETRIES[1]
+    tasks = _tasks("a", 3)
+    plan = _orbit_plan("a", tasks)
+    fixed = [i for i, (_, basis, _) in enumerate(tasks)
+             if sorted(transpose(*v) for v in basis) == sorted(basis)]
+    first, second = [i for i in fixed if i < 36], [i for i in fixed if i >= 36]
+    assert (len(first), len(second)) == (4, 4)
+    assert all(plan[i] == (i, None) for i in first)
+    assert sorted(plan[i][0] for i in second) == first
 
 
 def test_stable_degrees_a_examples():

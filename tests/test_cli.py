@@ -113,6 +113,14 @@ PINNED_RESULT_SHA256 = {
 }
 
 
+# Recorded before degree maps were built from one subtree task per
+# symmetry orbit.
+PINNED_DEGREE_CHECKS_SHA256 = {
+    "verify --algo a --depth 3 --checks degree-stability": "1abc52d6b4d7475b5424d8cd94194393803428305cdd13745f811562d11e4762",
+    "verify --algo b --depth 16 --checks degree-set,degree-stability,census-formulas": "1e846d7169aefbd76b6fd8bd45a27b7c259d73d3506607336a6357197b455a0c",
+}
+
+
 def result_sha256(command):
     result = payload(run_cli(*command.split()))["result"]
     text = json.dumps(result, sort_keys=True, ensure_ascii=False)
@@ -122,6 +130,11 @@ def result_sha256(command):
 @pytest.mark.parametrize("command", sorted(PINNED_RESULT_SHA256))
 def test_result_pinned_hash(command):
     assert result_sha256(command) == PINNED_RESULT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_DEGREE_CHECKS_SHA256))
+def test_degree_checks_pinned_hash(command):
+    assert result_sha256(command) == PINNED_DEGREE_CHECKS_SHA256[command]
 
 
 def test_geometry_checks_pinned_hash():
@@ -180,6 +193,12 @@ def test_capacity_error_exit_code():
         ("asym --algo a --beta 400 --n 2..3", 1, "domain"),
         ("asym --algo classical --beta 700 --n 2..3", 1, "domain"),
         ("classical --depth 3 --beta 700", 1, "domain"),
+        # Dirichlet orders past the float range, refused before any
+        # message prints them
+        ("dirichlet --algo classical --beta 1e400", 1, "domain"),
+        ("dirichlet --algo classical --beta 1e400 --qmax 10", 1, "domain"),
+        ("dirichlet --algo a --beta 1e5000", 1, "domain"),
+        ("dirichlet --algo b --beta 1e5000 --qmax 8", 1, "domain"),
     ],
 )
 def test_large_orders_print_one_record(command, code, outcome):
