@@ -373,7 +373,7 @@ def dirichlet_L(algo: str, beta: Beta, qmax: int) -> SeriesValue:
     The head sum over vectors v of deg(v) q(v)^-beta is read from the
     per-denominator degree counts n_d(q).  For integer beta it is exact,
     sum_q (sum_d d n_d(q)) / q^beta, converted once; otherwise it is the
-    correctly rounded sum of n_d(q) copies of each term d * q^-beta.
+    exact sum of n_d(q) times each float-rounded d * q^-beta, converted once.
     The tail over q > qmax is bounded by (degree cap) x (primitive point
     density) x the integral of x^(2-beta), which needs beta > 3.
     """
@@ -382,10 +382,12 @@ def dirichlet_L(algo: str, beta: Beta, qmax: int) -> SeriesValue:
     rows = list(enumerate(degree_counts(algo, qmax)))[1:]
     if b.denominator == 1:
         e = int(b)
-        head = float(exact_sum((sum(d * n for d, n in row.items()), q**e) for q, row in rows))
+        pairs = ((sum(d * n for d, n in row.items()), q**e) for q, row in rows)
     else:
         bf = float(b)
-        head = float(sum(n * Fraction(d * float(q) ** -bf) for q, row in rows for d, n in row.items()))
+        ratios = ((n, (d * float(q) ** -bf).as_integer_ratio()) for q, row in rows for d, n in row.items())
+        pairs = ((n * num, den) for n, (num, den) in ratios)
+    head = float(exact_sum(pairs))
     terms = sum(n for _, row in rows for n in row.values())
     return SeriesValue(head, _dirichlet_tail(b, qmax), terms)
 
@@ -396,14 +398,14 @@ AUTO_QMAX_CAP = 4096
 
 
 def dirichlet_L_auto(algo: str, beta: Beta) -> Tuple[SeriesValue, int]:
-    """Grow qmax (8, 16, 32, ...) until the tail bound drops below
-    ``AUTO_REL_TAIL`` of the head.
+    """Grow qmax over powers of two from 8 until the tail bound drops
+    below ``AUTO_REL_TAIL`` of the head.
 
     No head exceeds the lowest upper bracket end seen so far, so a qmax
     whose tail bound is not below that share of that end cannot stop
-    the growth.  The request fails as soon as the first qmax that could
-    stop it lies beyond ``AUTO_QMAX_CAP`` or beyond the capacity of
-    ``dirichlet_L``, before that head is computed.
+    the growth, and the next head is the first qmax that could.  The
+    request fails as soon as that qmax lies beyond ``AUTO_QMAX_CAP`` or
+    beyond the capacity of ``dirichlet_L``, before its head is computed.
     """
     b = _as_beta(beta)
     qmax = 8
@@ -421,7 +423,7 @@ def dirichlet_L_auto(algo: str, beta: Beta) -> Tuple[SeriesValue, int]:
                 f"tail below {AUTO_REL_TAIL} of the head needs qmax beyond {AUTO_QMAX_CAP}"
             )
         _check_dirichlet(algo, b, need)
-        qmax *= 2
+        qmax = need
 
 
 def classical_L(beta: Beta, tol: float = 1e-12) -> SeriesValue:

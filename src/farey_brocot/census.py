@@ -1,9 +1,10 @@
 """Triangulation graph censuses and stable vertex degrees.
 
 The graph of a depth-n tiling has the step-n basis vectors as vertices
-and an edge wherever two vectors share a step-n basis.  Counts are
-measured from the actual graph, never from the closed forms; the closed
-forms live in ``expected_counts`` so the two can be compared.
+and an edge wherever two vectors share a step-n basis.  Edges, vertices
+and degrees are measured from the actual graph; the face count is the
+closed form ``face_count``, and ``expected_counts`` gives closed forms
+for all three counts so the measured ones can be compared.
 
 The graph is built in subtrees, one task per triangle at a fixed split
 depth.  ``graph_at`` unions every task's edge set into the whole graph,
@@ -232,7 +233,8 @@ def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
 
 
 def census(algo: str, n: int, jobs: int = 1) -> Census:
-    """Measured face, edge, and vertex counts plus the degree histogram."""
+    """Measured edge and vertex counts and degree histogram, with the
+    closed-form face count."""
     # Counted from the whole graph, not the rim reduction: the benchmark's
     # tracer (perfbench/tracer.py) reads the graph size off graph_at.
     verts, edges = graph_at(algo, n, jobs=jobs)

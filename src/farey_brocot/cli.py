@@ -63,10 +63,6 @@ def _parse_range(text: str) -> Tuple[int, int]:
         raise InvalidInputError(f"bad range {text!r}; use A..B") from exc
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 # --- handlers ----------------------------------------------------------------
 
 
@@ -86,13 +82,13 @@ def _do_moments(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
     m = analysis.moment(args.algo, args.depth, beta, exact=True if args.exact else None, jobs=args.jobs)
     result = {
-        "sigma": _frac_str(m.value) if m.exact else m.value,
+        "sigma": str(m.value) if m.exact else m.value,
         "exact": m.exact,
     }
     params = {
         "algo": args.algo,
         "depth": args.depth,
-        "beta": _frac_str(beta),
+        "beta": str(beta),
         "exact": bool(args.exact),
         "jobs": args.jobs,
     }
@@ -122,7 +118,7 @@ def _do_dirichlet(args) -> Tuple[Dict, Dict, Dict]:
         sv = analysis.dirichlet_L(args.algo, beta, qmax)
         result = {"value": sv.value, "tail_bound": sv.tail_bound, "terms_used": sv.terms_used}
     # echoed only now: an order the series refused may be too long to print
-    params = {"algo": args.algo, "beta": _frac_str(beta), "qmax": qmax}
+    params = {"algo": args.algo, "beta": str(beta), "qmax": qmax}
     return result, params, {"arithmetic": "compensated-float", "tail_bound": sv.tail_bound}
 
 
@@ -141,7 +137,7 @@ def _do_asym(args) -> Tuple[Dict, Dict, Dict]:
         result["out"] = args.out
     params = {
         "algo": args.algo,
-        "beta": _frac_str(beta),
+        "beta": str(beta),
         "n": f"{lo}..{hi}",
         "jobs": args.jobs,
     }
@@ -159,11 +155,11 @@ def _do_locate(args) -> Tuple[Dict, Dict, Dict]:
                 "depth": s.triangle.depth,
                 "child_index": s.child_index,
                 "vertices": [list(v) for v in s.triangle.vertices],
-                "coefficients": [_frac_str(c) for c in s.coefficients],
+                "coefficients": [str(c) for c in s.coefficients],
             }
         )
     result = {
-        "theta": [_frac_str(theta[0]), _frac_str(theta[1])],
+        "theta": [str(theta[0]), str(theta[1])],
         "chain": steps,
         "vertex_depth": chain.vertex_depth(),
     }
@@ -202,12 +198,12 @@ def _do_classical(args) -> Tuple[Dict, Dict, Dict]:
     else:
         # the float moment is the same entry of the sweep behind the row
         sigma = row.sigma
-    result: Dict = {"sigma": _frac_str(sigma) if exact else sigma, "exact": exact}
+    result: Dict = {"sigma": str(sigma) if exact else sigma, "exact": exact}
     prov: Dict = {"arithmetic": "exact" if exact else "compensated-float"}
     if row is not None:
         result.update(main_term=row.main_term, ratio=row.ratio, L_value=row.L_value)
         prov["L_tail_bound"] = row.L_tail_bound
-    params = {"depth": args.depth, "beta": _frac_str(beta), "exact": bool(args.exact)}
+    params = {"depth": args.depth, "beta": str(beta), "exact": bool(args.exact)}
     return result, params, prov
 
 

@@ -32,7 +32,6 @@ from .core import (
     coordinates,
     det3,
     diameter_sq,
-    shoelace_area,
     vec_add,
 )
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_rule, child_vectors_a, child_vectors_b
@@ -45,7 +44,7 @@ from .census import (
     split_degrees,
     stable_degree_table,
 )
-from .analysis import cumulative_moment_check, exact_unit_sum, extreme_areas
+from .analysis import cumulative_moment_check, exact_sum, exact_unit_sum, extreme_areas
 from .tiling import (
     iter_bases,
     level_q_counts,
@@ -114,7 +113,8 @@ def _unimodularity(algo: str, limit: int) -> Found:
 def _regular_partition(algo: str, limit: int) -> Found:
     kids = child_rule(algo)
     checked = 0
-    # exact area bookkeeping at every enumerated depth, on distinct triples
+    # exact area bookkeeping at every enumerated depth, on distinct triples:
+    # the children's areas over the parent's, pqr / (c1 c2 c3), sum to 1
     sum_depth = min(limit, 8 if algo == ALGO_A else 16)
     geometry_depth = min(limit, 4)
     params = {"area_sum_depth": sum_depth, "geometry_depth": geometry_depth}
@@ -123,11 +123,8 @@ def _regular_partition(algo: str, limit: int) -> Found:
             break
         for (p, q, r), mult in level.items():
             checked += mult
-            parent_area = Fraction(1, 2 * p * q * r)
-            child_area = Fraction(0)
-            for cp, cq, cr in kids(p, q, r, operator.add):
-                child_area += Fraction(1, 2 * cp * cq * cr)
-            if child_area != parent_area:
+            pqr = p * q * r
+            if exact_sum((pqr, cp * cq * cr) for cp, cq, cr in kids(p, q, r, operator.add)) != 1:
                 return params, checked, {"depth": d, "triple": [p, q, r]}
     # exact lattice geometry on every parent of a cell at depth <= geometry_depth
     parents = iter_bases(algo, geometry_depth - 1) if geometry_depth else ()
@@ -166,8 +163,12 @@ def disjoint_interiors(s: Sequence[Vec], t: Sequence[Vec]) -> bool:
     return False
 
 
-def _pt(v):
-    return (Fraction(v[1], v[0]), Fraction(v[2], v[0]))
+def scaled_shoelace_area(basis: Sequence[Vec]) -> int:
+    """2 q(a) q(b) q(c) times the shoelace area of the projected triangle:
+    each edge (u, v) of the shoelace sum, multiplied through, adds the
+    integer q(w) (u1 v2 - v1 u2), w being the third vertex."""
+    (qa, a1, a2), (qb, b1, b2), (qc, c1, c2) = basis
+    return abs(qc * (a1 * b2 - b1 * a2) + qa * (b1 * c2 - c1 * b2) + qb * (c1 * a2 - a1 * c2))
 
 
 def _area_formula(algo: str, limit: int) -> Found:
@@ -175,8 +176,7 @@ def _area_formula(algo: str, limit: int) -> Found:
     checked = 0
     for basis, d in iter_bases(algo, params["depth"]):
         checked += 1
-        qa, qb, qc = basis[0][0], basis[1][0], basis[2][0]
-        if Fraction(1, 2 * qa * qb * qc) != shoelace_area([_pt(v) for v in basis]):
+        if scaled_shoelace_area(basis) != 1:
             return params, checked, {"depth": d, "basis": [list(v) for v in basis]}
     return params, checked, None
 
@@ -255,7 +255,7 @@ def _lemma13(algo: str, limit: int) -> Found:
                 return params, checked, {"part": "i", "depth": d, "triple": [qa, qb, qc]}
             # operation "1" child (qb+qc, qa, qb): area ratio qc/(qb+qc) <= 1/2
             (q1a, q1b, q1c), _ = child_vectors_b(qa, qb, qc, operator.add)
-            if Fraction(1, 2 * q1a * q1b * q1c) > Fraction(1, 2 * qa * qb * qc) / 2:
+            if q1a * q1b * q1c < 2 * qa * qb * qc:
                 return params, checked, {"part": "ii", "depth": d, "triple": [qa, qb, qc]}
     # part iii: explicit zero-runs from whole bases
     for basis, d in iter_bases(ALGO_B, parents_depth):

@@ -7,14 +7,19 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+import farey_brocot.analysis as analysis
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
-from farey_brocot.census import stable_degree_table
+from farey_brocot.census import degree_counts, stable_degree_table
 from farey_brocot.tiling import LOCATE_DEPTH_CAP, iter_intervals, iter_triangles, locate
 from farey_brocot.analysis import (
+    AUTO_QMAX_CAP,
+    AUTO_REL_TAIL,
     EXACT_BITS_CAP,
     MAX_DEGREE,
     PRIMITIVE_DENSITY,
     SeriesValue,
+    _check_dirichlet,
+    _dirichlet_tail,
     _lcm_bits,
     asymptotic_sweep,
     classical_L,
@@ -278,6 +283,25 @@ def test_dirichlet_head_equals_the_table_head(algo, qmax):
         assert dirichlet_L(algo, beta, qmax) == _table_dirichlet_L(algo, beta, qmax), beta
 
 
+def _fraction_head(algo, beta, qmax):
+    # The reference non-integer head: one Fraction per float-rounded term,
+    # summed as a running total and converted once.
+    bf = float(beta)
+    rows = list(enumerate(degree_counts(algo, qmax)))[1:]
+    return float(sum(n * Fraction(d * float(q) ** -bf) for q, row in rows for d, n in row.items()))
+
+
+NON_INTEGER_ORDERS = ["11/2", "21/4", "23/4", "25/4", "27/4", "13/2", "26/5", "33/5", "7/2", "301/100"]
+
+
+@pytest.mark.parametrize("algo", ["a", "b"])
+@pytest.mark.parametrize("qmax", [8, 80, 256])
+def test_non_integer_head_equals_the_fraction_sum(algo, qmax):
+    for beta in map(Fraction, NON_INTEGER_ORDERS):
+        head = dirichlet_L(algo, beta, qmax).value
+        assert head.hex() == _fraction_head(algo, beta, qmax).hex(), beta
+
+
 @pytest.mark.parametrize("beta", [Fraction(5), Fraction(11, 2), Fraction(6), Fraction(7)])
 def test_rule_b_series_closed_form_in_bracket(beta):
     # L_b(beta) = (8 zeta(beta-2) + 4 zeta(beta-1)) / zeta(beta), from the
@@ -309,6 +333,63 @@ def test_dirichlet_capacity_raises_before_work():
     _raises_fast(dirichlet_L_auto, "a", Fraction(18, 5))
     sv, qmax = dirichlet_L_auto("b", Fraction(18, 5))
     assert sv.tail_bound < 0.01 * sv.value and qmax == 2048
+
+
+def _doubling_auto(algo, beta):
+    # The reference qmax search: it doubles qmax after every head instead
+    # of going on to the first qmax that could stop the growth.
+    b = Fraction(beta)
+    qmax = 8
+    upper = math.inf
+    while True:
+        sv = analysis.dirichlet_L(algo, b, qmax)
+        if sv.tail_bound < AUTO_REL_TAIL * sv.value:
+            return sv, qmax
+        upper = min(upper, sv.upper)
+        need = 2 * qmax
+        while need < AUTO_QMAX_CAP and not _dirichlet_tail(b, need) < AUTO_REL_TAIL * upper:
+            need *= 2
+        if qmax >= AUTO_QMAX_CAP or not _dirichlet_tail(b, need) < AUTO_REL_TAIL * upper:
+            raise CapacityError(
+                f"tail below {AUTO_REL_TAIL} of the head needs qmax beyond {AUTO_QMAX_CAP}"
+            )
+        _check_dirichlet(algo, b, need)
+        qmax *= 2
+
+
+def _auto_outcome(fn, algo, beta, monkeypatch):
+    # (result or error message, the qmax of every head computed)
+    heads = []
+
+    def counted(algo, beta, qmax):
+        heads.append(qmax)
+        return dirichlet_L(algo, beta, qmax)
+
+    monkeypatch.setattr(analysis, "dirichlet_L", counted)
+    try:
+        return fn(algo, beta), heads
+    except CapacityError as exc:
+        return str(exc), heads
+
+
+# Orders that stop at qmax 8 to 2048 or are refused (no qmax up to the
+# cap, or one beyond rule a's budget); rule a at 37/10 needs a 7 s head.
+AUTO_ORDERS = ["33/10", "7/2", "18/5", "39/10", "4", "21/5", "9/2", "24/5", "5", "11/2", "6", "13/2", "9"]
+
+
+@pytest.mark.parametrize("algo", ["a", "b"])
+def test_dirichlet_auto_matches_the_doubling_loop(algo, monkeypatch):
+    for beta in map(Fraction, AUTO_ORDERS):
+        got, heads = _auto_outcome(dirichlet_L_auto, algo, beta, monkeypatch)
+        want, doubled = _auto_outcome(_doubling_auto, algo, beta, monkeypatch)
+        assert got == want, beta
+        assert set(heads) <= set(doubled) and heads[-1] == doubled[-1], beta
+
+
+def test_dirichlet_auto_skips_heads_that_cannot_stop(monkeypatch):
+    _, heads = _auto_outcome(dirichlet_L_auto, "b", Fraction(18, 5), monkeypatch)
+    _, doubled = _auto_outcome(_doubling_auto, "b", Fraction(18, 5), monkeypatch)
+    assert heads == [8, 2048] and len(doubled) == 9
 
 
 def test_exact_classical_order_one_budget():

@@ -121,6 +121,14 @@ PINNED_DEGREE_CHECKS_SHA256 = {
 }
 
 
+# Recorded while regular-partition, area-lemma2 and lemma13 still summed
+# and compared areas as Fractions.
+PINNED_AREA_CHECKS_SHA256 = {
+    "verify --algo a --depth 6 --checks regular-partition,area-lemma2": "332d9ebf85ccc0394b4d53596e5a0ec09f39274a725d85a863559ca3eaa0d442",
+    "verify --algo b --depth 16 --checks regular-partition,area-lemma2,lemma13": "d060c0f96114ef67dffe93ce5fe2acc5e1c546400606ea1939ec242f2396fadc",
+}
+
+
 def result_sha256(command):
     result = payload(run_cli(*command.split()))["result"]
     text = json.dumps(result, sort_keys=True, ensure_ascii=False)
@@ -135,6 +143,11 @@ def test_result_pinned_hash(command):
 @pytest.mark.parametrize("command", sorted(PINNED_DEGREE_CHECKS_SHA256))
 def test_degree_checks_pinned_hash(command):
     assert result_sha256(command) == PINNED_DEGREE_CHECKS_SHA256[command]
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_AREA_CHECKS_SHA256))
+def test_area_checks_pinned_hash(command):
+    assert result_sha256(command) == PINNED_AREA_CHECKS_SHA256[command]
 
 
 def test_geometry_checks_pinned_hash():

@@ -7,9 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 import farey_brocot.verify as verify
 from farey_brocot.census import degrees_at
-from farey_brocot.core import InvalidInputError, coordinates
+from farey_brocot.core import InvalidInputError, coordinates, shoelace_area
 from farey_brocot.subdivision import child_rule, initial_vectors
-from farey_brocot.verify import CHECKS, FAIL, PASS, SKIP, disjoint_interiors, run_checks, sample_contraction
+from farey_brocot.verify import (
+    CHECKS,
+    FAIL,
+    PASS,
+    SKIP,
+    disjoint_interiors,
+    run_checks,
+    sample_contraction,
+    scaled_shoelace_area,
+)
 
 from oracles import clip_disjoint, clip_inside
 
@@ -98,7 +107,7 @@ def _bumped_degrees(algo, n, jobs=1):
 FAULTS = {
     "unimodularity": (("a", "b"), {"det3": lambda *vs: 2}),
     "regular-partition": (("a", "b"), {"disjoint_interiors": lambda s, t: False}),
-    "area-lemma2": (("a", "b"), {"shoelace_area": lambda pts: 0}),
+    "area-lemma2": (("a", "b"), {"scaled_shoelace_area": lambda basis: 0}),
     "sigma1": (("a", "b", "classical"), {"exact_unit_sum": lambda algo, n: Fraction(2)}),
     "lemma4": (("a",), {"child_vectors_a": lambda *vs, **kw: [(0, 0, 0)] * 6}),
     "lemma7": (("a",), {"level_q_counts_coded_a": lambda depth: [{(1, 1, 1, 4, 0): 1}]}),
@@ -175,3 +184,19 @@ def test_tiling_predicates_match_clip_oracle(algo, root, path):
                 escapes = any(min(coordinates(other, v)) < 0 for v in ch)
                 assert escapes and not clip_inside(ch, other)
         basis = children[step % len(children)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["a", "b"]), st.integers(0, 1), st.lists(st.integers(0, 5), max_size=8))
+def test_scaled_shoelace_area_matches_the_fraction_area(algo, root, path):
+    # The integer area-lemma2 tests against the Fraction shoelace area on
+    # every cell of a random descent.
+    kids = child_rule(algo)
+    cells = [initial_vectors(algo)[root]]
+    for step in path:
+        children = kids(*cells[-1])
+        cells.append(children[step % len(children)])
+    for basis in cells:
+        (qa, _, _), (qb, _, _), (qc, _, _) = basis
+        points = [(Fraction(a1, q), Fraction(a2, q)) for q, a1, a2 in basis]
+        assert scaled_shoelace_area(basis) == 2 * qa * qb * qc * shoelace_area(points) == 1
