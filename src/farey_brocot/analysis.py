@@ -6,10 +6,10 @@ order 1, and above order 1 a bound on the size of the result.  Exact
 sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
-over a fixed task decomposition (or a Kahan sum in descent order for
-the classical sweep), so results are independent of worker count and
-bit-identical across runs.  Dirichlet heads read the per-denominator
-degree counts of ``census.degree_counts``.
+over a fixed task decomposition (for the classical sweep, one Kahan sum
+per depth over that depth's intervals, left to right), so results are
+independent of worker count and bit-identical across runs.  Dirichlet
+heads read the per-denominator degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
 tail bound: the true value lies in [value, value + tail_bound].
@@ -27,8 +27,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
-from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_intervals
-from .tiling import LevelCounts, descend, face_count, level_q_counts, split_q_states
+from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
+from .tiling import LevelCounts, face_count, level_q_counts, split_q_states
 from ._jobs import run_tasks
 
 Beta = Union[int, float, Fraction]
@@ -40,9 +40,11 @@ EXACT_FACE_CAP = 100_000
 # b/23 exceed the ~165 MiB budget.  Classical moments merge every
 # interval: 0.9 s at depth 20, doubling per level (2 CPUs, CPython 3.11).
 EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
-# The float classical sweep walks all 2^(n+1) - 1 intervals: 2.1 s at
-# depth 20, 4.1 s at 21, 7.9 s at 22 and 13.9 s at 23 (2 CPUs, CPython
-# 3.11), so depth 22 is the last within the Dirichlet heads' ~7 s budget.
+# The float classical sweep sums all 2^(n+1) - 1 intervals: 0.6 s at
+# depth 20, 1.1 s at 21, 2.1 s at 22 and 5.4 s at 23, in 17 MiB (fastest
+# of three, 2 CPUs, CPython 3.11).  Depth 22 is well within the
+# Dirichlet heads' ~7 s budget; 23 would fit too, but raising the cap
+# would admit requests that have been refused so far.
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 # An exact moment of order e >= 2 has a denominator dividing L^e, where L
 # is the lcm of the depth-n cells' measure denominators (2pqr, or qr for
@@ -244,10 +246,7 @@ def _lcm_bits(algo: str, n: int) -> int:
         # so the lcm of the products qr is the lcm of the endpoints.
         row = [1, 1]
         for _ in range(n):
-            nxt = [0] * (2 * len(row) - 1)
-            nxt[::2] = row
-            nxt[1::2] = map(operator.add, row, row[1:])
-            row = nxt
+            row = _refine_row(row)
         return math.lcm(*set(row)).bit_length()
     for level in level_q_counts(algo, n):
         pass
@@ -296,23 +295,56 @@ def _classical_exact(n: int, e: int) -> Fraction:
     return Fraction(*rec(1, 1, n)) if n else Fraction(1)
 
 
+def _refine_row(row: List[int]) -> List[int]:
+    # The next level's endpoint denominators, left to right: every old
+    # endpoint, and between each neighbouring pair q, r the mediant's q + r.
+    nxt = [0] * (2 * len(row) - 1)
+    nxt[::2] = row
+    nxt[1::2] = map(operator.add, row, row[1:])
+    return nxt
+
+
+# The classical sweep refines whole rows down to depth n - ROW_SPLIT, then
+# each interval there on its own, so no row holds more than 2^ROW_SPLIT + 1
+# denominators.
+ROW_SPLIT = 12
+
+
 def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
-    """Floating classical moments for depths 0..n in one descent."""
+    """Floating classical moments for depths 0..n, one Kahan sum per depth
+    over that depth's intervals, left to right."""
     _check_moment_args(ALGO_CLASSICAL, n, beta)
     bf = float(_as_beta(beta))
     sums = [0.0] * (n + 1)
     comps = [0.0] * (n + 1)
-    # Kahan step per depth.  Each level's products q*r read the same from
-    # both ends (the Stern-Brocot mirror symmetry), so the sums are
-    # reproducible bit for bit and would be the same walked either way.
-    walk = descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
-    for (q, r), d in walk:
-        x = q * r
-        term = float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x)
-        y = term - comps[d]
-        t = sums[d] + y
-        comps[d] = (t - sums[d]) - y
-        sums[d] = t
+
+    def add_row(d: int, row: List[int]) -> None:
+        products = map(operator.mul, row, row[1:])
+        if bf == 2.0:
+            terms = [1.0 / float(x * x) for x in products]
+        else:
+            terms = [float(x) ** -bf for x in products]
+        s, c = sums[d], comps[d]
+        for term in terms:  # the Kahan step
+            y = term - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        sums[d], comps[d] = s, c
+
+    split = max(0, n - ROW_SPLIT)
+    row = [1, 1]
+    for d in range(split):
+        add_row(d, row)
+        row = _refine_row(row)
+    add_row(split, row)
+    # Depth d > split is the depth-split intervals' own rows in turn, so
+    # each sum takes the same terms in the same order as a whole row would.
+    for q, r in zip(row, row[1:]):
+        sub = [q, r]
+        for d in range(split + 1, n + 1):
+            sub = _refine_row(sub)
+            add_row(d, sub)
     return sums
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -61,6 +63,21 @@ def _parse_range(text: str) -> Tuple[int, int]:
         return int(lo), int(hi)
     except ValueError as exc:
         raise InvalidInputError(f"bad range {text!r}; use A..B") from exc
+
+
+def _check_out(path: str) -> None:
+    # Refused before any work, so a bad path costs no computation.
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise InvalidInputError(f"cannot write --out {path!r}: not a file in a writable directory")
+
+
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write --out {path!r}: {exc.strerror}") from None
 
 
 # --- handlers ----------------------------------------------------------------
@@ -125,15 +142,17 @@ def _do_dirichlet(args) -> Tuple[Dict, Dict, Dict]:
 def _do_asym(args) -> Tuple[Dict, Dict, Dict]:
     beta = _parse_beta(args.beta)
     lo, hi = _parse_range(args.n)
+    if args.out:
+        _check_out(args.out)
     rows = analysis.asymptotic_sweep(args.algo, beta, lo, hi, jobs=args.jobs)
     table = [{c: getattr(r, c) for c in ASYM_CSV_COLUMNS} for r in rows]
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=ASYM_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(table)
     result = {"rows": table}
     if args.out:
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=ASYM_CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(table)
+        _write_out(args.out, text.getvalue())
         result["out"] = args.out
     params = {
         "algo": args.algo,
@@ -210,14 +229,14 @@ def _do_classical(args) -> Tuple[Dict, Dict, Dict]:
 def _do_render(args) -> Tuple[Dict, Dict, Dict]:
     if not args.out:
         raise InvalidInputError("render needs --out PATH")
+    _check_out(args.out)
     svg = render_svg(
         args.algo,
         args.depth,
         labels=args.labels,
         label_cap=args.label_cap,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_out(args.out, svg)
     if args.algo == ALGO_CLASSICAL:
         count = 2**args.depth
     else:

@@ -52,7 +52,10 @@ def descend(roots: Sequence[Node], expand: Callable[[Node, int], Sequence[Node]]
     yielded, and returns the children to walk or an empty tuple to stop.
     Every enumeration whose order can show in a result goes through
     here, so this one routine fixes the canonical order that SVG bytes,
-    compensated sums and parallel task lists depend on.
+    compensated sums and parallel task lists depend on.  The one
+    exception is the classical float sweep, which builds each depth's
+    interval denominators as a row: a pre-order walk meets each depth's
+    nodes left to right, so its per-depth order is the rows' order.
     """
     stack = [(iter(roots), 0)]
     while stack:

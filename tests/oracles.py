@@ -7,16 +7,21 @@
   nested triangles, the oracle for the incremental ``extend_code_a``.
 * ``stable_degrees``: degrees measured on explicit graphs, the oracle
   for the creation-type grading of ``stable_degree_table``.
+* ``classical_moment_sweep_by_descent``: the classical float moments
+  summed in a pre-order walk of the intervals, the oracle for the row
+  sweep of ``analysis.classical_moment_sweep``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from farey_brocot.census import degrees_at, split_degrees
 from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
-from farey_brocot.subdivision import ALGO_B, child_vectors_a
+from farey_brocot.subdivision import ALGO_B, child_intervals, child_vectors_a
+from farey_brocot.tiling import descend
 
 
 # --- rational geometry -----------------------------------------------------
@@ -148,3 +153,23 @@ def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
         raise InvalidInputError("stable degrees need depth >= 1")
     older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
     return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
+
+
+# --- classical moments ------------------------------------------------------
+
+
+def classical_moment_sweep_by_descent(n: int, beta) -> List[float]:
+    """Floating classical moments for depths 0..n: one Kahan sum per depth,
+    fed in the order a pre-order walk of the intervals visits them."""
+    bf = float(Fraction(beta))
+    sums = [0.0] * (n + 1)
+    comps = [0.0] * (n + 1)
+    walk = descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
+    for (q, r), d in walk:
+        x = q * r
+        term = float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x)
+        y = term - comps[d]
+        t = sums[d] + y
+        comps[d] = (t - sums[d]) - y
+        sums[d] = t
+    return sums

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import farey_brocot.analysis as analysis
+from oracles import classical_moment_sweep_by_descent
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
 from farey_brocot.census import degree_counts, stable_degree_table
 from farey_brocot.tiling import LOCATE_DEPTH_CAP, iter_intervals, iter_triangles, locate
@@ -120,6 +121,20 @@ def test_classical_sweep_consistent():
     assert sweep[2] == pytest.approx(5 / 18, rel=1e-12)
     ex = classical_moment(10, 2, exact=True)
     assert sweep[10] == pytest.approx(float(ex.value), rel=1e-12)
+
+
+# orders 1-3 and the benchmark's beta sweep
+@pytest.mark.parametrize("beta", ["1", "2", "3", "3/2", "5/4", "7/4", "9/4", "5/2", "11/4", "13/4", "7/2"])
+def test_classical_sweep_equals_the_descent(beta):
+    # Depths 0-16 cover rows split at depth 0 and at depths 1-4 below it.
+    b = Fraction(beta)
+    oracle = classical_moment_sweep_by_descent(16, b)
+    for n in range(17):
+        assert classical_moment_sweep(n, b) == oracle[: n + 1]
+    assert classical_moment(14, b, exact=False).value == oracle[14]
+    if b >= Fraction(3, 2):  # below, asym refuses or zeta(2 beta - 1) is capped
+        rows = asymptotic_sweep("classical", b, 2, 14)
+        assert [row.sigma for row in rows] == oracle[2:15]
 
 
 @given(st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(1, 10**12)), max_size=70))
@@ -415,7 +430,7 @@ def test_locate_capacity_raises_before_work():
 
 
 def test_classical_sweep_capacity_raises_before_work():
-    # the float sweep doubles per level: about 14 s at depth 23
+    # the float sweep about doubles per level: about 5.4 s at depth 23
     _raises_fast(classical_moment_sweep, 23, 2)
     _raises_fast(moment, "classical", 30, 2)
     _raises_fast(moment, "classical", 23, 1)  # order 1 past the exact budget

@@ -249,6 +249,33 @@ def test_negative_label_cap_rejected(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["render --algo a --depth 1 --out {}/x.svg", "asym --algo b --beta 2 --n 2..3 --out {}/x.csv",
+     "render --algo a --depth 1 --out {}", "asym --algo classical --beta 3/2 --n 2..4 --out {}"],
+)
+def test_unwritable_out_is_invalid_input(tmp_path, command):
+    # a directory that does not exist, or a directory given as the file
+    target = tmp_path / "missing" if "/x." in command else tmp_path
+    proc = run_cli(*command.format(target).split(), check=False)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["error"]["type"] == "invalid-input"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_asym_refuses_the_out_path_before_the_sweep(tmp_path, monkeypatch, capsys):
+    from farey_brocot import analysis, cli
+
+    def sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(analysis, "asymptotic_sweep", sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["asym", "--algo", "b", "--beta", "2", "--n", "2..26", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "invalid-input"
+
+
 def test_usage_error_exit_code():
     proc = run_cli("census", "--algo", "zzz", "--depth", "1", check=False)
     assert proc.returncode == 2
