@@ -6,10 +6,12 @@ order 1, and above order 1 a bound on the size of the result.  Exact
 sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
-over a fixed task decomposition (for the classical sweep, one Kahan sum
-per depth over that depth's intervals, left to right), so results are
-independent of worker count and bit-identical across runs.  Dirichlet
-heads read the per-denominator degree counts of ``census.degree_counts``.
+over a fixed task decomposition, so results are independent of worker
+count and bit-identical across runs.  Classical moments read the row
+walk ``tiling.classical_rows``: the float sweep is one Kahan sum per
+depth over that depth's intervals, left to right, and an exact moment
+merges the depth-n intervals' terms in the same order.  Dirichlet heads
+read the per-denominator degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
 tail bound: the true value lies in [value, value + tail_bound].
@@ -28,7 +30,7 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
-from .tiling import LevelCounts, face_count, level_q_counts, split_q_states
+from .tiling import LevelCounts, classical_rows, face_count, level_q_counts, split_q_states
 from ._jobs import run_tasks
 
 Beta = Union[int, float, Fraction]
@@ -38,7 +40,8 @@ EXACT_FACE_CAP = 100_000
 # level's distinct triples: a/8 takes 0.6 s and 48 MiB, b/22 1.3 s and
 # 112 MiB, a/9 3.8 s and 284 MiB, b/23 2.7 s and 214 MiB, so a/9 and
 # b/23 exceed the ~165 MiB budget.  Classical moments merge every
-# interval: 0.9 s at depth 20, doubling per level (2 CPUs, CPython 3.11).
+# interval: 0.7-0.8 s at depth 20 (0.8-1.2 s end to end, 18 MiB),
+# doubling per level (2 CPUs, CPython 3.11).
 EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # The float classical sweep sums all 2^(n+1) - 1 intervals: 0.6 s at
 # depth 20, 1.1 s at 21, 2.1 s at 22 and 5.4 s at 23, in 17 MiB (fastest
@@ -242,12 +245,10 @@ def _check_moment_args(algo: str, n: int, beta: Beta) -> None:
 def _lcm_bits(algo: str, n: int) -> int:
     """Bit length of the lcm of the depth-n cells' measure denominators."""
     if algo == ALGO_CLASSICAL:
-        # Endpoint denominators, left to right.  Neighbours are coprime,
-        # so the lcm of the products qr is the lcm of the endpoints.
-        row = [1, 1]
-        for _ in range(n):
-            row = _refine_row(row)
-        return math.lcm(*set(row)).bit_length()
+        # Neighbouring endpoint denominators are coprime, so the lcm of
+        # the products qr is the lcm of the endpoints.
+        dens = {q for d, (row,) in classical_rows(n, ([1, 1],)) if d == n for q in row}
+        return math.lcm(*dens).bit_length()
     for level in level_q_counts(algo, n):
         pass
     return math.lcm(*{2 * p * q * r for p, q, r in level}).bit_length()
@@ -284,32 +285,6 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
 # --- classical (1-d) moments ------------------------------------------------
 
 
-def _classical_exact(n: int, e: int) -> Fraction:
-    # Sum of 1/(q r)^e over the depth-n intervals, merged by subtree.
-    def rec(q: int, r: int, depth: int) -> Tuple[int, int]:
-        m = q + r  # the mediant's denominator
-        if depth == 1:  # both children are leaves; skip two calls
-            return _merge((1, (q * m) ** e), (1, (m * r) ** e))
-        return _merge(rec(q, m, depth - 1), rec(m, r, depth - 1))
-
-    return Fraction(*rec(1, 1, n)) if n else Fraction(1)
-
-
-def _refine_row(row: List[int]) -> List[int]:
-    # The next level's endpoint denominators, left to right: every old
-    # endpoint, and between each neighbouring pair q, r the mediant's q + r.
-    nxt = [0] * (2 * len(row) - 1)
-    nxt[::2] = row
-    nxt[1::2] = map(operator.add, row, row[1:])
-    return nxt
-
-
-# The classical sweep refines whole rows down to depth n - ROW_SPLIT, then
-# each interval there on its own, so no row holds more than 2^ROW_SPLIT + 1
-# denominators.
-ROW_SPLIT = 12
-
-
 def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     """Floating classical moments for depths 0..n, one Kahan sum per depth
     over that depth's intervals, left to right."""
@@ -317,8 +292,7 @@ def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     bf = float(_as_beta(beta))
     sums = [0.0] * (n + 1)
     comps = [0.0] * (n + 1)
-
-    def add_row(d: int, row: List[int]) -> None:
+    for d, (row,) in classical_rows(n, ([1, 1],)):
         products = map(operator.mul, row, row[1:])
         if bf == 2.0:
             terms = [1.0 / float(x * x) for x in products]
@@ -331,20 +305,6 @@ def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
             c = (t - s) - y
             s = t
         sums[d], comps[d] = s, c
-
-    split = max(0, n - ROW_SPLIT)
-    row = [1, 1]
-    for d in range(split):
-        add_row(d, row)
-        row = _refine_row(row)
-    add_row(split, row)
-    # Depth d > split is the depth-split intervals' own rows in turn, so
-    # each sum takes the same terms in the same order as a whole row would.
-    for q, r in zip(row, row[1:]):
-        sub = [q, r]
-        for d in range(split + 1, n + 1):
-            sub = _refine_row(sub)
-            add_row(d, sub)
     return sums
 
 
@@ -353,7 +313,10 @@ def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> Moment
     use_exact = exact_mode(ALGO_CLASSICAL, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        return MomentValue(ALGO_CLASSICAL, n, b, _classical_exact(n, int(b)), True)
+        e = int(b)
+        rows = (row for d, (row,) in classical_rows(n, ([1, 1],)) if d == n)
+        products = (x for row in rows for x in map(operator.mul, row, row[1:]))
+        return MomentValue(ALGO_CLASSICAL, n, b, exact_sum((1, x**e) for x in products), True)
     return MomentValue(ALGO_CLASSICAL, n, b, classical_moment_sweep(n, b)[n], False)
 
 

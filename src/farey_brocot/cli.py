@@ -188,7 +188,7 @@ def _do_locate(args) -> Tuple[Dict, Dict, Dict]:
 
 def _do_verify(args) -> Tuple[Dict, Dict, Dict]:
     selection = None
-    if args.checks and args.checks != "all":
+    if args.checks != "all":
         selection = [s.strip() for s in args.checks.split(",") if s.strip()]
     reports = run_checks(args.algo, args.depth, selection, jobs=args.jobs)
     result = {
@@ -200,7 +200,7 @@ def _do_verify(args) -> Tuple[Dict, Dict, Dict]:
     params = {
         "algo": args.algo,
         "depth": args.depth,
-        "checks": args.checks or "all",
+        "checks": args.checks,
         "jobs": args.jobs,
     }
     return result, params, {"arithmetic": "exact"}

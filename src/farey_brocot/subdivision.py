@@ -10,7 +10,8 @@ unit interval.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+import operator
+from typing import Callable, List, Tuple
 
 from .core import InvalidInputError, Vec, vec_add
 
@@ -40,9 +41,9 @@ def initial_vectors(algo: str) -> Tuple[Tuple[Vec, Vec, Vec], ...]:
 # --- the rules ---------------------------------------------------------------
 #
 # Each rule is stated once, below.  All three are linear in the parent's
-# vertices, so the same function steps lattice vectors (the default
-# `add`), bare denominators (``operator.add``) or any other additive
-# reading of a vertex.
+# vertices: the same 2-d function steps lattice vectors (the default
+# `add`) or bare denominators (``operator.add``), and ``refine_row``
+# steps a row of any one endpoint coordinate.
 
 
 def child_vectors_a(g1, g2, g3, add: Callable = vec_add) -> Tuple[Tuple, ...]:
@@ -68,16 +69,15 @@ def child_vectors_b(g1, g2, g3, add: Callable = vec_add) -> Tuple[Tuple, Tuple]:
     return (m, g1, g2), (m, g1, g3)
 
 
-def _pair_add(u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
-    return u[0] + v[0], u[1] + v[1]
-
-
-def child_intervals(u, v, add: Callable = _pair_add) -> Tuple[Tuple, Tuple]:
-    """Classical rule: the interval [u, v] splits at the mediant u (+) v
-    into (left, right).  Endpoints are (numerator, denominator) pairs by
-    default."""
-    m = add(u, v)
-    return (u, m), (m, v)
+def refine_row(row: List[int]) -> List[int]:
+    """Classical rule on one row of endpoint coordinates, left to right:
+    keep every endpoint, and between each neighbouring pair u, v insert
+    the mediant's u + v.  The mediant is componentwise, so numerators
+    and denominators both refine by it."""
+    nxt = [0] * (2 * len(row) - 1)
+    nxt[::2] = row
+    nxt[1::2] = map(operator.add, row, row[1:])
+    return nxt
 
 
 def child_rule(algo: str) -> Callable:

@@ -8,7 +8,8 @@ checks).  It streams raw integer triples; ``iter_triangles`` and
 evolves counts of denominator triples level by level; triples collapse
 heavily (millions of triangles share a few hundred thousand triples),
 which is what makes desk-scale moment sweeps affordable in exact
-arithmetic.
+arithmetic.  The classical partition has one walk, ``classical_rows``,
+which every classical enumeration reads.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import pairwise
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
@@ -31,12 +33,12 @@ from .core import (
 )
 from .subdivision import (
     ALGO_A,
-    child_intervals,
     child_rule,
     child_vectors_a,
     extend_code_a,
     initial_vectors,
     min_new_denominator,
+    refine_row,
     streak_step_a,
 )
 
@@ -53,9 +55,9 @@ def descend(roots: Sequence[Node], expand: Callable[[Node, int], Sequence[Node]]
     Every enumeration whose order can show in a result goes through
     here, so this one routine fixes the canonical order that SVG bytes,
     compensated sums and parallel task lists depend on.  The one
-    exception is the classical float sweep, which builds each depth's
-    interval denominators as a row: a pre-order walk meets each depth's
-    nodes left to right, so its per-depth order is the rows' order.
+    exception is the classical partition, which ``classical_rows`` builds
+    as rows of endpoints: a pre-order walk meets each depth's nodes left
+    to right, and so do the rows, so every per-depth order is the same.
     """
     stack = [(iter(roots), 0)]
     while stack:
@@ -124,14 +126,41 @@ def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
             yield Triangle(basis, d, algo, code)
 
 
+# No row of the classical walk holds more than 2^ROW_SPLIT + 1 endpoints.
+ROW_SPLIT = 12
+
+
+def classical_rows(n: int, rows: Tuple[List[int], ...]) -> Iterator[Tuple[int, Tuple[List[int], ...]]]:
+    """The classical partition to depth n as rows of endpoint coordinates.
+
+    ``rows`` holds one depth-0 row per coordinate, such as numerators
+    ``[0, 1]`` and denominators ``[1, 1]``.  Yields (depth, rows) for
+    every depth 0..n; a depth comes as blocks of neighbouring intervals,
+    left to right, and each block's last endpoint starts the next.
+    Blocks are aligned from the bottom: the walk to depth n - ROW_SPLIT
+    runs first, and each interval at its last depth is refined on its
+    own through the last ROW_SPLIT levels.  So no row is longer than
+    2^ROW_SPLIT + 1, and the walk streams at any depth.
+    """
+    top = max(0, n - ROW_SPLIT)
+    for d, block in classical_rows(top, rows) if top else [(0, rows)]:
+        yield d, block
+        if d == top:
+            for i in range(len(block[0]) - 1):
+                sub = tuple(row[i : i + 2] for row in block)
+                for k in range(top + 1, n + 1):
+                    sub = tuple(map(refine_row, sub))
+                    yield k, sub
+
+
 def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
     """The 2**n intervals of the classical depth-n partition, left to
     right, as (endpoint, endpoint) pairs."""
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
-    for (u, v), d in descend((((0, 1), (1, 1)),), lambda iv, d: child_intervals(*iv) if d < n else ()):
+    for d, (nums, dens) in classical_rows(n, ([0, 1], [1, 1])):
         if d == n:
-            yield Fraction(*u), Fraction(*v)
+            yield from pairwise(map(Fraction, nums, dens))
 
 
 def brocot_level(n: int) -> List[Fraction]:

@@ -557,5 +557,7 @@ def run_checks(
         unknown = [s for s in selected if s not in CHECKS]
         if unknown:
             raise InvalidInputError(f"unknown checks: {', '.join(sorted(unknown))}")
+        if not selected:
+            raise InvalidInputError("the check selection names no check")
     tasks = [(algo, depth_limit, nm) for nm in CHECKS if nm in selected]
     return run_tasks(_check_task, tasks, jobs)

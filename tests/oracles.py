@@ -7,6 +7,11 @@
   nested triangles, the oracle for the incremental ``extend_code_a``.
 * ``stable_degrees``: degrees measured on explicit graphs, the oracle
   for the creation-type grading of ``stable_degree_table``.
+* ``child_intervals`` and ``intervals_by_descent``: the classical rule
+  on one interval, and the depth-n intervals from a pre-order walk of
+  it, the oracle for ``tiling.classical_rows`` and every reader of it
+  (``iter_intervals``, ``brocot_level``, exact classical moments and
+  their size bound).
 * ``classical_moment_sweep_by_descent``: the classical float moments
   summed in a pre-order walk of the intervals, the oracle for the row
   sweep of ``analysis.classical_moment_sweep``.
@@ -16,11 +21,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from farey_brocot.census import degrees_at, split_degrees
 from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
-from farey_brocot.subdivision import ALGO_B, child_intervals, child_vectors_a
+from farey_brocot.subdivision import ALGO_B, child_vectors_a
 from farey_brocot.tiling import descend
 
 
@@ -155,7 +160,27 @@ def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
 
 
-# --- classical moments ------------------------------------------------------
+# --- the classical partition ------------------------------------------------
+
+
+def _pair_add(u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
+    return u[0] + v[0], u[1] + v[1]
+
+
+def child_intervals(u, v, add: Callable = _pair_add) -> Tuple[Tuple, Tuple]:
+    """Classical rule: the interval [u, v] splits at the mediant u (+) v
+    into (left, right).  Endpoints are (numerator, denominator) pairs by
+    default."""
+    m = add(u, v)
+    return (u, m), (m, v)
+
+
+def intervals_by_descent(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
+    """The depth-n intervals, left to right, from a lazy pre-order walk."""
+    walk = descend((((0, 1), (1, 1)),), lambda iv, d: child_intervals(*iv) if d < n else ())
+    for (u, v), d in walk:
+        if d == n:
+            yield Fraction(*u), Fraction(*v)
 
 
 def classical_moment_sweep_by_descent(n: int, beta) -> List[float]:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import farey_brocot.analysis as analysis
-from oracles import classical_moment_sweep_by_descent
+from oracles import classical_moment_sweep_by_descent, intervals_by_descent
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError
 from farey_brocot.census import degree_counts, stable_degree_table
-from farey_brocot.tiling import LOCATE_DEPTH_CAP, iter_intervals, iter_triangles, locate
+from farey_brocot.tiling import LOCATE_DEPTH_CAP, ROW_SPLIT, iter_triangles, locate
 from farey_brocot.analysis import (
     AUTO_QMAX_CAP,
     AUTO_REL_TAIL,
@@ -155,8 +155,10 @@ def test_exact_moments_equal_per_cell_sums(algo, depths):
 
 
 def test_exact_classical_moments_equal_per_interval_sums():
-    for n in range(13):
-        direct = _per_cell_moments([v - u for u, v in iter_intervals(n)])
+    # 13, 14 and 16 lie past ROW_SPLIT, where the row walk splits into blocks
+    assert ROW_SPLIT < 13
+    for n in [*range(15), 16]:
+        direct = _per_cell_moments([v - u for u, v in intervals_by_descent(n)])
         assert [classical_moment(n, e, exact=True).value for e in range(1, 5)] == direct
 
 
@@ -444,10 +446,10 @@ def test_classical_direct_sum_sieve_capacity():
     assert classical_L_direct(4, 65536).terms_used == 65536
 
 
-@pytest.mark.parametrize("algo,n", [("a", 0), ("a", 3), ("b", 1), ("b", 9), ("classical", 0), ("classical", 7)])
+@pytest.mark.parametrize("algo,n", [("a", 0), ("a", 3), ("b", 1), ("b", 9), ("classical", 0), ("classical", 7), ("classical", 14)])
 def test_lcm_bits_match_the_cell_measures(algo, n):
     if algo == "classical":
-        dens = [(v - u).denominator for u, v in iter_intervals(n)]
+        dens = [(v - u).denominator for u, v in intervals_by_descent(n)]
     else:
         dens = [tri.area().denominator for tri in iter_triangles(algo, n)]
     assert _lcm_bits(algo, n) == math.lcm(*dens).bit_length()

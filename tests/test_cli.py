@@ -180,6 +180,18 @@ def test_verify_unknown_check_usage_error():
     assert err["error"]["type"] == "invalid-input"
 
 
+@pytest.mark.parametrize("checks", [",", ""])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_verify_empty_selection_usage_error(fmt, checks):
+    proc = run_cli("verify", "--algo", "a", "--depth", "1", "--checks", checks, "--format", fmt, check=False)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    (line,) = (proc.stdout if fmt == "json" else proc.stderr).splitlines()
+    if fmt == "json":
+        assert json.loads(line)["error"]["type"] == "invalid-input"
+    else:
+        assert line.startswith("error (invalid-input):") and proc.stdout == ""
+
+
 def test_domain_error_exit_code():
     proc = run_cli("moments", "--algo", "a", "--depth", "2", "--beta", "0.5", check=False)
     assert proc.returncode == 1

@@ -1,16 +1,23 @@
+import time
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
 
+import farey_brocot.tiling as tiling
 from farey_brocot.census import stable_degree_table
 from farey_brocot.core import InvalidInputError, det3, vec_add
 from farey_brocot.tiling import (
+    ROW_SPLIT,
+    brocot_level,
+    classical_rows,
     descend,
     face_count,
     iter_bases,
     iter_bases_at,
+    iter_intervals,
     iter_triangles,
     level_q_counts,
     level_q_counts_coded_a,
@@ -19,7 +26,7 @@ from farey_brocot.tiling import (
     vertices_up_to,
 )
 
-from oracles import point_in_triangle
+from oracles import intervals_by_descent, point_in_triangle
 
 
 def test_enumerate_counts_and_unit_area():
@@ -189,14 +196,45 @@ def test_vertices_up_to_count_oracle(algo):
 
 
 def test_iter_intervals_partition():
-    from farey_brocot.tiling import iter_intervals
-
     pieces = list(iter_intervals(6))
     assert len(pieces) == 64
     assert pieces[0][0] == 0 and pieces[-1][1] == 1
     for (_, hi), (lo, _) in zip(pieces, pieces[1:]):
         assert hi == lo
     assert sum(hi - lo for lo, hi in pieces) == 1
+
+
+def test_intervals_and_levels_equal_the_descent():
+    # depths past ROW_SPLIT read the walk's bottom-aligned blocks
+    assert ROW_SPLIT < 14
+    for n in range(15):
+        oracle = list(intervals_by_descent(n))
+        assert list(iter_intervals(n)) == oracle
+        assert brocot_level(n) == sorted({x for iv in oracle for x in iv})
+
+
+def test_iter_intervals_is_lazy():
+    t0 = time.perf_counter()
+    head = list(islice(iter_intervals(60), 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert head == list(islice(intervals_by_descent(60), 3))
+
+
+@pytest.mark.parametrize("split,depths", [(2, range(9)), (ROW_SPLIT, range(ROW_SPLIT - 1, ROW_SPLIT + 3))])
+def test_classical_rows_are_bounded_blocks_in_order(monkeypatch, split, depths):
+    # At split 2, depths 3-8 recurse once to three times.  Each depth's
+    # blocks join end to end into the whole level, left to right.
+    monkeypatch.setattr(tiling, "ROW_SPLIT", split)
+    for n in depths:
+        levels = {}
+        for d, (nums, dens) in classical_rows(n, ([0, 1], [1, 1])):
+            assert len(dens) == len(nums) <= 2**split + 1
+            level = levels.setdefault(d, [Fraction(0)])
+            assert Fraction(nums[0], dens[0]) == level[-1]
+            level.extend(map(Fraction, nums[1:], dens[1:]))
+        assert sorted(levels) == list(range(n + 1))
+        for d, level in levels.items():
+            assert level == [Fraction(0)] + [v for _, v in intervals_by_descent(d)]
 
 
 def test_mediant_additive_on_basis_pairs():
