@@ -7,11 +7,17 @@ sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition, so results are independent of worker
-count and bit-identical across runs.  Classical moments read the row
-walk ``tiling.classical_rows``: the float sweep is one Kahan sum per
-depth over that depth's intervals, left to right, and an exact moment
-merges the depth-n intervals' terms in the same order.  Dirichlet heads
-read the per-denominator degree counts of ``census.degree_counts``.
+count and bit-identical across runs.  2-d moments read each level's
+cell measures and counts in the dict engine's order: rule a's from the
+dicts of ``tiling.level_q_counts``, which must merge the children of
+different parents, and rule b's from the column lists of
+``tiling.level_columns_b``, which need no dict because no two rule-b
+parents share a child.  Classical moments read the row walk
+``tiling.classical_rows``: the float sweep is one Kahan sum per depth
+over that depth's intervals, left to right.  The depth-n row is a
+palindrome, so an exact moment merges the left half's terms, in the
+same order, and doubles the sum.  Dirichlet heads read the
+per-denominator degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
 tail bound: the true value lies in [value, value + tail_bound].
@@ -24,30 +30,41 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from math import fsum
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
-from .tiling import LevelCounts, classical_rows, face_count, level_q_counts, split_q_states
+from .tiling import (
+    LevelCounts,
+    classical_rows,
+    face_count,
+    level_columns_b,
+    level_q_counts,
+    split_q_states,
+)
 from ._jobs import run_tasks
 
 Beta = Union[int, float, Fraction]
 
 EXACT_FACE_CAP = 100_000
-# Exact order-1 moments, in cells.  The 2-d rules build and merge the last
-# level's distinct triples: a/8 takes 0.6 s and 48 MiB, b/22 1.3 s and
-# 112 MiB, a/9 3.8 s and 284 MiB, b/23 2.7 s and 214 MiB, so a/9 and
-# b/23 exceed the ~165 MiB budget.  Classical moments merge every
-# interval: 0.7-0.8 s at depth 20 (0.8-1.2 s end to end, 18 MiB),
-# doubling per level (2 CPUs, CPython 3.11).
+# Exact order-1 moments, in cells.  The 2-d rules merge the last level's
+# distinct triples.  End to end, a/8 takes 0.4-0.6 s in 59 MiB and b/22
+# 0.6 s in 76 MiB; in process, a/9 takes 2.5 s and 298 MiB, beyond the
+# ~165 MiB budget.  Rule b's column levels would fit b/23 (1.3 s and
+# 98 MiB in process), but the cap is kept, so that no request refused so
+# far is admitted.  Classical moments merge the left half's intervals:
+# 0.4-0.6 s at depth 20 end to end, in 18 MiB, doubling per level
+# (2 CPUs, CPython 3.11).
 EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
-# The float classical sweep sums all 2^(n+1) - 1 intervals: 0.6 s at
-# depth 20, 1.1 s at 21, 2.1 s at 22 and 5.4 s at 23, in 17 MiB (fastest
-# of three, 2 CPUs, CPython 3.11).  Depth 22 is well within the
-# Dirichlet heads' ~7 s budget; 23 would fit too, but raising the cap
-# would admit requests that have been refused so far.
+# Float moment sweeps, end to end (three runs, 2 CPUs, CPython 3.11):
+# a/10 at order 2 takes 7.4-8.9 s in 82 MiB and b/26 6.4-7.3 s in
+# 144 MiB, about the Dirichlet heads' ~7 s and 165 MiB budget.  The
+# classical sweep sums all 2^(n+1) - 1 intervals, about doubling per
+# level: 1.8-2.5 s at depth 22 in 18 MiB.  Depth 23 would fit too, but
+# raising a cap would admit requests that have been refused so far.
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 # An exact moment of order e >= 2 has a denominator dividing L^e, where L
 # is the lcm of the depth-n cells' measure denominators (2pqr, or qr for
@@ -167,20 +184,33 @@ def exact_sum(terms: Iterable[Tuple[int, int]]) -> Fraction:
     return Fraction(*reduce(_merge, reversed(stack), (0, 1)))
 
 
-def _level_moment_float(level: LevelCounts, beta: float) -> float:
+def _levels(
+    algo: str, n: int, start: Optional[LevelCounts] = None
+) -> Iterator[Tuple[Iterable[int], Iterable[int]]]:
+    # Each level 0..n as (cell measure denominators 2pqr, counts), in the
+    # dict engine's order.  Rule b's come lazily from its columns; rule
+    # a's dicts merge children of different parents, and a list of their
+    # measures is faster to sum than a generator.
+    if algo == ALGO_B:
+        for P, Q, R, C in level_columns_b(n, start):
+            yield map(operator.mul, map(operator.mul, map(operator.mul, P, Q), R), repeat(2)), C
+    else:
+        for level in level_q_counts(algo, n, start):
+            yield [2 * p * q * r for p, q, r in level], level.values()
+
+
+def _level_moment_float(measures: Iterable[int], counts: Iterable[int], beta: float) -> float:
+    pairs = zip(measures, counts)
     if beta == 2.0:
-        return fsum([c / float((2 * p * q * r) ** 2) for (p, q, r), c in level.items()])
+        return fsum([c / float(m * m) for m, c in pairs])
     if beta == 1.0:
-        return fsum([c / float(2 * p * q * r) for (p, q, r), c in level.items()])
-    return fsum([c * float(2 * p * q * r) ** -beta for (p, q, r), c in level.items()])
+        return fsum([c / float(m) for m, c in pairs])
+    return fsum([c * float(m) ** -beta for m, c in pairs])
 
 
 def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, float]) -> List[float]:
     algo, triple, count, levels, beta = args
-    return [
-        _level_moment_float(level, beta)
-        for level in level_q_counts(algo, levels, start={triple: count})
-    ]
+    return [_level_moment_float(m, c, beta) for m, c in _levels(algo, levels, {triple: count})]
 
 
 def _split_depth(algo: str, n: int) -> int:
@@ -197,9 +227,9 @@ def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
     bf = float(_as_beta(beta))
     split = _split_depth(algo, n)
     prefix = []
-    for d, level in enumerate(level_q_counts(algo, split)):
+    for d, (measures, counts) in enumerate(_levels(algo, split)):
         if d < split:
-            prefix.append(_level_moment_float(level, bf))
+            prefix.append(_level_moment_float(measures, counts, bf))
     tasks = [(algo, t, c, n - split, bf) for t, c in split_q_states(algo, split)]
     partials = run_tasks(_moment_task, tasks, jobs)
     merged = [fsum(p[d] for p in partials) for d in range(n - split + 1)]
@@ -219,10 +249,9 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        for level in level_q_counts(algo, n):
+        for measures, counts in _levels(algo, n):
             pass
-        e = int(b)
-        value = exact_sum((c, (2 * p * q * r) ** e) for (p, q, r), c in level.items())
+        value = exact_sum(zip(counts, map(pow, measures, repeat(int(b)))))
         return MomentValue(algo, n, b, value, True)
     value = moment_sweep(algo, n, b, jobs=jobs)[n]
     return MomentValue(algo, n, b, value, False)
@@ -247,11 +276,11 @@ def _lcm_bits(algo: str, n: int) -> int:
     if algo == ALGO_CLASSICAL:
         # Neighbouring endpoint denominators are coprime, so the lcm of
         # the products qr is the lcm of the endpoints.
-        dens = {q for d, (row,) in classical_rows(n, ([1, 1],)) if d == n for q in row}
-        return math.lcm(*dens).bit_length()
-    for level in level_q_counts(algo, n):
+        _, rows = _classical_rows_at(n)
+        return math.lcm(*{q for row in rows for q in row}).bit_length()
+    for measures, _ in _levels(algo, n):
         pass
-    return math.lcm(*{2 * p * q * r for p, q, r in level}).bit_length()
+    return math.lcm(*set(measures)).bit_length()
 
 
 def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> bool:
@@ -308,15 +337,26 @@ def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     return sums
 
 
+def _classical_rows_at(n: int) -> Tuple[int, Iterator[List[int]]]:
+    # (weight, rows): the depth-n endpoint denominators as blocks of
+    # neighbouring endpoints, left to right.  x -> 1 - x keeps every
+    # denominator, so the row is a palindrome, and for n >= 1 its left
+    # half, the refinement of [0, 1/2], is walked alone and counts twice.
+    if n == 0:
+        return 1, iter([[1, 1]])
+    return 2, (row for d, (row,) in classical_rows(n - 1, ([1, 2],)) if d == n - 1)
+
+
 def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> MomentValue:
     """Moment of order beta of the classical depth-n interval partition."""
     use_exact = exact_mode(ALGO_CLASSICAL, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
         e = int(b)
-        rows = (row for d, (row,) in classical_rows(n, ([1, 1],)) if d == n)
+        weight, rows = _classical_rows_at(n)
         products = (x for row in rows for x in map(operator.mul, row, row[1:]))
-        return MomentValue(ALGO_CLASSICAL, n, b, exact_sum((1, x**e) for x in products), True)
+        value = weight * exact_sum((1, x**e) for x in products)
+        return MomentValue(ALGO_CLASSICAL, n, b, value, True)
     return MomentValue(ALGO_CLASSICAL, n, b, classical_moment_sweep(n, b)[n], False)
 
 

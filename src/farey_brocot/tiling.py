@@ -8,8 +8,14 @@ checks).  It streams raw integer triples; ``iter_triangles`` and
 evolves counts of denominator triples level by level; triples collapse
 heavily (millions of triangles share a few hundred thousand triples),
 which is what makes desk-scale moment sweeps affordable in exact
-arithmetic.  The classical partition has one walk, ``classical_rows``,
-which every classical enumeration reads.
+arithmetic.  ``level_q_counts`` keeps a level as a dict, since rule a
+merges the children of different parents.  Rule b never does: its
+triples stay ordered (Lemma 13), and an ordered triple has one ordered
+parent, so ``level_columns_b`` steps whole rule-b levels as parallel
+lists, with no dict, for the moments.  The dict engine stays the
+independent one that the verify checks read.  The classical partition
+has one walk, ``classical_rows``, which every classical enumeration
+reads.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import pairwise
+from itertools import compress, pairwise
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
@@ -35,6 +41,7 @@ from .subdivision import (
     ALGO_A,
     child_rule,
     child_vectors_a,
+    child_vectors_b,
     extend_code_a,
     initial_vectors,
     min_new_denominator,
@@ -298,6 +305,60 @@ def level_q_counts(algo: str, n: int, start: Optional[LevelCounts] = None) -> It
     for _ in range(n):
         level = _step(level, expand)
         yield level
+
+
+# A rule-b level as four parallel lists: the denominator triples' first,
+# second and third entries, and their counts.
+Columns = Tuple[List[int], List[int], List[int], List[int]]
+
+
+def _add_columns(x: List[int], y: List[int]) -> List[int]:
+    return list(map(operator.add, x, y))
+
+
+def _interleave(first: List, second: List) -> List:
+    out = [0] * (2 * len(first))
+    out[::2] = first
+    out[1::2] = second
+    return out
+
+
+def _step_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Columns:
+    first, second = child_vectors_b(P, Q, R, add=_add_columns)
+    # The two children differ only in their last entry, Q against R.
+    twins = list(map(operator.eq, Q, R))
+    cols = [_interleave(x, y) for x, y in zip(first, second)]
+    if not any(twins):
+        return (*cols, _interleave(C, C))
+    # A parent's twins merge into its first child, with the count doubled.
+    cols.append(_interleave(list(map(operator.lshift, C, twins)), C))
+    keep = _interleave([True] * len(C), list(map(operator.not_, twins)))
+    return tuple(list(compress(col, keep)) for col in cols)
+
+
+def level_columns_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
+    """Rule-b levels for depth 0..n as columns (P, Q, R, C), item for
+    item and in order the ``level_q_counts("b", n, start)`` levels.
+
+    The rule keeps every triple ordered, p >= q >= r and q + r >= p
+    (Lemma 13), and two ordered parents never share a child: a triple
+    (x, y, z) is the first child of (y, z, x - z) or the second child
+    of (y, x - z, z), and both parents are ordered only when they are
+    one triple, with x - z == z.  So the one merge is a parent's own two
+    children when q == r, and a level needs no dict: each step maps the
+    rule over whole columns and interleaves the two children parent by
+    parent.  Children are ordered when their parent is, so only the
+    start triples are checked, before any work.
+    """
+    level = {(1, 1, 1): 2} if start is None else start
+    for p, q, r in level:
+        if not (p >= q >= r and q + r >= p):
+            raise InvariantViolationError(f"rule-b triple {(p, q, r)} is not ordered")
+    cols = (*map(list, zip(*level)), list(level.values()))
+    yield cols
+    for _ in range(n):
+        cols = _step_columns_b(*cols)
+        yield cols
 
 
 CodedState = Tuple[int, int, int, int, bool]

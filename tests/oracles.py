@@ -15,18 +15,24 @@
 * ``classical_moment_sweep_by_descent``: the classical float moments
   summed in a pre-order walk of the intervals, the oracle for the row
   sweep of ``analysis.classical_moment_sweep``.
+* ``moment_sweeps_by_dicts`` and ``exact_moment_by_dicts``: 2-d moments
+  summed over the dict levels of ``tiling.level_q_counts``, the oracle
+  for the rule-b column engine ``tiling.level_columns_b`` and the
+  moments that read it.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import fsum
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
+from farey_brocot.analysis import exact_sum
 from farey_brocot.census import degrees_at, split_degrees
 from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
-from farey_brocot.subdivision import ALGO_B, child_vectors_a
-from farey_brocot.tiling import descend
+from farey_brocot.subdivision import ALGO_A, ALGO_B, child_vectors_a
+from farey_brocot.tiling import LevelCounts, descend, level_q_counts, split_q_states
 
 
 # --- rational geometry -----------------------------------------------------
@@ -198,3 +204,43 @@ def classical_moment_sweep_by_descent(n: int, beta) -> List[float]:
         comps[d] = (t - sums[d]) - y
         sums[d] = t
     return sums
+
+
+# --- 2-d moments over the dict levels ----------------------------------------
+
+
+def _level_sums(level: LevelCounts, orders: Sequence[float]) -> List[float]:
+    sums = []
+    for b in orders:
+        if b == 2.0:
+            terms = [c / float((2 * p * q * r) ** 2) for (p, q, r), c in level.items()]
+        elif b == 1.0:
+            terms = [c / float(2 * p * q * r) for (p, q, r), c in level.items()]
+        else:
+            terms = [c * float(2 * p * q * r) ** -b for (p, q, r), c in level.items()]
+        sums.append(fsum(terms))
+    return sums
+
+
+def moment_sweeps_by_dicts(algo: str, n: int, betas: Sequence) -> List[List[float]]:
+    """Floating moments for depths 0..n at each order in `betas`, from one
+    pass of the dict engine: whole levels above the split depth (3 for
+    rule a, 6 for rule b), then one task per split-depth triple, and each
+    depth's task sums added by ``fsum``."""
+    orders = [float(Fraction(b)) for b in betas]
+    split = min(n, 3 if algo == ALGO_A else 6)
+    rows = [_level_sums(level, orders) for level in level_q_counts(algo, split)][:split]
+    tasks = [
+        [_level_sums(level, orders) for level in level_q_counts(algo, n - split, start={t: c})]
+        for t, c in split_q_states(algo, split)
+    ]
+    for d in range(n - split + 1):
+        rows.append([fsum(task[d][i] for task in tasks) for i in range(len(orders))])
+    return [[row[i] for row in rows] for i in range(len(orders))]
+
+
+def exact_moment_by_dicts(algo: str, n: int, e: int) -> Fraction:
+    """The exact depth-n moment of integer order e over the dict level."""
+    for level in level_q_counts(algo, n):
+        pass
+    return exact_sum((c, (2 * p * q * r) ** e) for (p, q, r), c in level.items())

@@ -8,10 +8,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 import farey_brocot.analysis as analysis
-from oracles import classical_moment_sweep_by_descent, intervals_by_descent
-from farey_brocot.core import CapacityError, DomainError, InvalidInputError
+from oracles import (
+    classical_moment_sweep_by_descent,
+    exact_moment_by_dicts,
+    intervals_by_descent,
+    moment_sweeps_by_dicts,
+)
+from farey_brocot.core import CapacityError, DomainError, InvalidInputError, InvariantViolationError
 from farey_brocot.census import degree_counts, stable_degree_table
-from farey_brocot.tiling import LOCATE_DEPTH_CAP, ROW_SPLIT, iter_triangles, locate
+from farey_brocot.tiling import LOCATE_DEPTH_CAP, ROW_SPLIT, iter_triangles, level_q_counts, locate
 from farey_brocot.analysis import (
     AUTO_QMAX_CAP,
     AUTO_REL_TAIL,
@@ -155,11 +160,54 @@ def test_exact_moments_equal_per_cell_sums(algo, depths):
 
 
 def test_exact_classical_moments_equal_per_interval_sums():
-    # 13, 14 and 16 lie past ROW_SPLIT, where the row walk splits into blocks
+    # twice the left half's sum; 14 and later lie past ROW_SPLIT + 1,
+    # where the half's row walk splits into blocks
     assert ROW_SPLIT < 13
-    for n in [*range(15), 16]:
+    for n in range(17):
         direct = _per_cell_moments([v - u for u, v in intervals_by_descent(n)])
         assert [classical_moment(n, e, exact=True).value for e in range(1, 5)] == direct
+
+
+# the benchmark's beta sweep, orders 1-3 and two orders whose terms underflow
+SWEEP_ORDERS = ["3/2", "5/4", "7/4", "9/4", "5/2", "11/4", "13/4", "7/2", "1", "2", "3", "100", "400"]
+
+
+@pytest.fixture(scope="module")
+def rule_b_dict_sweeps():
+    return dict(zip(SWEEP_ORDERS, moment_sweeps_by_dicts("b", 21, SWEEP_ORDERS)))
+
+
+@pytest.mark.parametrize("beta", SWEEP_ORDERS)
+def test_rule_b_moments_equal_the_dict_engine(beta, rule_b_dict_sweeps):
+    # bit for bit: the column engine feeds fsum the dict engine's terms
+    b = Fraction(beta)
+    oracle = [x.hex() for x in rule_b_dict_sweeps[beta]]
+    for jobs in (1, 2):
+        for n in [*range(8), 21]:  # below the split depth 6 and past it
+            assert [x.hex() for x in moment_sweep("b", n, b, jobs=jobs)] == oracle[: n + 1]
+    assert moment("b", 13, b, exact=False).value.hex() == oracle[13]
+    if b > 1 and b < 400:  # asym refuses order 1, and order 400's main term overflows
+        rows = asymptotic_sweep("b", b, 2, 21, jobs=2)
+        assert [row.sigma.hex() for row in rows] == oracle[2:]
+
+
+@pytest.mark.parametrize("n", [*range(17), 22])
+def test_exact_rule_b_moments_equal_the_dict_engine(n):
+    orders = range(1, 5) if n <= 15 else [1]  # orders >= 2 are exact to depth 15
+    assert [moment("b", n, e, exact=True).value for e in orders] == [
+        exact_moment_by_dicts("b", n, e) for e in orders
+    ]
+    if n <= 16:
+        for level in level_q_counts("b", n):
+            pass
+        assert _lcm_bits("b", n) == math.lcm(*{2 * p * q * r for p, q, r in level}).bit_length()
+
+
+def test_unordered_rule_b_task_raises():
+    # the column engine checks its start triples before any work
+    for triple in ((3, 1, 1), (1, 2, 1), (2, 1, 2)):
+        with pytest.raises(InvariantViolationError):
+            analysis._moment_task(("b", triple, 1, 20, 2.0))
 
 
 def test_exact_unit_sum_all_lanes():
@@ -446,7 +494,10 @@ def test_classical_direct_sum_sieve_capacity():
     assert classical_L_direct(4, 65536).terms_used == 65536
 
 
-@pytest.mark.parametrize("algo,n", [("a", 0), ("a", 3), ("b", 1), ("b", 9), ("classical", 0), ("classical", 7), ("classical", 14)])
+@pytest.mark.parametrize(
+    "algo,n",
+    [("a", 0), ("a", 3), ("b", 1), ("b", 9), *(("classical", n) for n in (0, 1, 2, 7, 14, 16))],
+)
 def test_lcm_bits_match_the_cell_measures(algo, n):
     if algo == "classical":
         dens = [(v - u).denominator for u, v in intervals_by_descent(n)]

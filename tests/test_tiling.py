@@ -1,3 +1,4 @@
+import operator
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 import farey_brocot.tiling as tiling
 from farey_brocot.census import stable_degree_table
-from farey_brocot.core import InvalidInputError, det3, vec_add
+from farey_brocot.core import InvalidInputError, InvariantViolationError, det3, vec_add
 from farey_brocot.tiling import (
     ROW_SPLIT,
     brocot_level,
@@ -19,6 +20,7 @@ from farey_brocot.tiling import (
     iter_bases_at,
     iter_intervals,
     iter_triangles,
+    level_columns_b,
     level_q_counts,
     level_q_counts_coded_a,
     locate,
@@ -68,6 +70,31 @@ def test_level_counts_match_geometry(algo, n):
         geometric[qs] += 1
     assert dict(geometric) == level
     assert sum(level.values()) == face_count(algo, n)
+
+
+def _same_level(cols, level):
+    P, Q, R, C = cols
+    return len(C) == len(level) and all(map(operator.eq, zip(zip(P, Q, R), C), level.items()))
+
+
+def test_columns_equal_the_dict_levels():
+    # item for item and in order, from the root and from every task start
+    # of the rule-b moment sweep, to depth 22
+    for d, (cols, level) in enumerate(zip(level_columns_b(22), level_q_counts("b", 22))):
+        assert _same_level(cols, level), d
+    for triple, count in split_q_states("b", 6):
+        start = {triple: count}
+        pairs = zip(level_columns_b(16, start), level_q_counts("b", 16, start))
+        for d, (cols, level) in enumerate(pairs):
+            assert _same_level(cols, level), (triple, d)
+
+
+@pytest.mark.parametrize(
+    "start", [{(3, 1, 1): 1}, {(1, 2, 1): 2}, {(2, 1, 2): 1}, {(2, 1, 1): 1, (5, 3, 1): 1}]
+)
+def test_columns_refuse_an_unordered_start(start):
+    with pytest.raises(InvariantViolationError):
+        next(level_columns_b(4, start))
 
 
 def test_coded_counts_match_totals():
