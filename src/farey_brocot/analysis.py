@@ -221,8 +221,11 @@ def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
     """Floating moments for every depth 0..n in one pass.
 
     The work is split over a canonical task list at a fixed depth, so
-    per-depth sums are byte-identical regardless of `jobs`.
+    per-depth sums are byte-identical regardless of `jobs`.  The
+    classical sweep is ``classical_moment_sweep``, on one worker.
     """
+    if algo == ALGO_CLASSICAL:
+        return classical_moment_sweep(n, beta)
     _check_moment_args(algo, n, beta)
     bf = float(_as_beta(beta))
     split = _split_depth(algo, n)
@@ -532,10 +535,9 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
         ) from None
     if algo == ALGO_CLASSICAL:
         series = classical_L(2 * b)
-        sigmas = classical_moment_sweep(n_hi, b)
     else:
         series, _ = dirichlet_L_auto(algo, 3 * b)
-        sigmas = moment_sweep(algo, n_hi, b, jobs=jobs)
+    sigmas = moment_sweep(algo, n_hi, b, jobs=jobs)
     rows = []
     for n in range(n_lo, n_hi + 1):
         mt = main_term(algo, n, b, series.value)
@@ -563,5 +565,5 @@ def summability_bound(algo: str, beta: Beta) -> float:
 
 def cumulative_moment_check(algo: str, beta: Beta, n_max: int) -> Tuple[float, float]:
     """(partial sum of moments for n <= n_max, bound it must stay under)."""
-    sigmas = moment_sweep(algo, n_max, beta)
-    return fsum(sigmas), summability_bound(algo, beta)
+    bound = summability_bound(algo, beta)
+    return fsum(moment_sweep(algo, n_max, beta)), bound

@@ -9,14 +9,13 @@ for all three counts so the measured ones can be compared.
 The graph is built in subtrees, one task per triangle at a fixed split
 depth.  ``graph_at`` unions every task's edge set into the whole graph,
 which ``census`` counts.  ``degrees_at`` has each task reduce its own
-edges before returning: vertices strictly inside its root triangle get
-their final degree there, and only the rim (the edges along the root's
-sides, the sole ones two tasks can share) is returned as a set.  It
-runs one task per orbit of the square's symmetries that keep the
-roots (the point reflection, the transpose and their product), 20 of
-72 for algorithm A and 8 of 32 for algorithm B, and maps that task's
+edges: an edge two of its leaves own is counted at both ends there, and
+the rest, the rim, the sole edges two tasks can share, is returned as a
+set.  It runs one task per orbit of the square's symmetries that keep
+the roots (the point reflection, the transpose and their product), 20
+of 72 for algorithm A and 8 of 32 for algorithm B, and maps that task's
 summary onto the rest of its orbit; the tests compare the result
-against ``graph_at``.
+against ``graph_at``.  ``Census.of_degrees`` counts a degree map.
 
 Degrees stabilize once a vertex exists (algorithm A) or one step after
 it appears (algorithm B), and the stable degree is fixed by how the
@@ -36,19 +35,20 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
-from .tiling import RawBasis, _step, descend, face_count, iter_bases_at
+from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
 from ._jobs import run_tasks
 
 # One CLI run each (2 CPUs, CPython 3.11): a/6 takes 0.49 s and 48 MiB,
 # a/7 3.35 s and 193.5 MiB, b/17 1.40 s and 101.6 MiB (1.61 s and
 # 103.6 MiB with --jobs 2), b/18 3.11 s and 221.8 MiB; so a/7 and b/18
 # exceed the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
-# running one task per symmetry orbit, it takes 0.15 s and 23 MiB at a/6
-# and 0.37 s and 32 MiB at b/17 (one fresh-process run each, same host).
+# running one task per symmetry orbit, it takes 0.07-0.11 s and 22.5 MiB
+# at a/6 and 0.26-0.34 s and 31.3 MiB at b/17 (three fresh-process runs
+# each, same host).
 CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
 
 DEGREE_SET = {ALGO_A: frozenset({2, 3, 5, 8}), ALGO_B: frozenset({3, 5, 8})}
@@ -62,6 +62,14 @@ class Census:
     edges: int
     vertices: int
     degree_histogram: Dict[int, int]
+
+    @classmethod
+    def of_degrees(cls, algo: str, depth: int, deg: Dict[Vec, int]) -> "Census":
+        """The census read off a degree map: each vertex once, each edge
+        at both ends, with the closed-form face count."""
+        hist = Counter(deg.values())
+        return cls(algo, depth, face_count(algo, depth), sum(deg.values()) // 2, len(deg),
+                   dict(sorted(hist.items())))
 
     def euler(self) -> int:
         """v - r + f; equals 1 for a triangulated square."""
@@ -79,8 +87,9 @@ def _check_capacity(algo: str, n: int) -> None:
 
 
 Edge = Tuple[Vec, Vec]
-# A subtree's graph reduced by ``_graph_task``.
-Summary = Tuple[Dict[Vec, int], Dict[Vec, int], Set[Edge]]
+# A subtree's graph reduced by ``_graph_task``: the degree counts of its
+# internal edges, and its rim edges.
+Summary = Tuple[Dict[Vec, int], Set[Edge]]
 
 
 def _tasks(algo: str, n: int) -> List[Tuple[str, RawBasis, int]]:
@@ -91,25 +100,18 @@ def _tasks(algo: str, n: int) -> List[Tuple[str, RawBasis, int]]:
     return [(algo, root, n - split) for root in iter_bases_at(algo, split)]
 
 
-def _subtree_edges(args: Tuple[str, RawBasis, int]) -> Set[Edge]:
-    # Edges of the leaves `levels` steps below `root`, each as a sorted
-    # pair.  The last level is expanded here rather than walked, which
-    # spares one descent step per leaf.
+def _leaf_edges(args: Tuple[str, RawBasis, int]) -> Iterator[Edge]:
+    # The three edges of every leaf `levels` steps below `root`, each as
+    # a sorted pair.
     algo, root, levels = args
-    kids = child_rule(algo)
-    if levels == 0:
-        leaves: Iterable[RawBasis] = (root,)
-    else:
-        last = levels - 1
-        parents = descend((root,), lambda b, d: kids(*b) if d < last else ())
-        leaves = chain.from_iterable(kids(*b) for b, d in parents if d == last)
-    edges: Set[Edge] = set()
-    add = edges.add
-    for g1, g2, g3 in leaves:
-        add((g1, g2) if g1 < g2 else (g2, g1))
-        add((g1, g3) if g1 < g3 else (g3, g1))
-        add((g2, g3) if g2 < g3 else (g3, g2))
-    return edges
+    for g1, g2, g3 in leaves((root,), child_rule(algo), levels):
+        yield (g1, g2) if g1 < g2 else (g2, g1)
+        yield (g1, g3) if g1 < g3 else (g3, g1)
+        yield (g2, g3) if g2 < g3 else (g3, g2)
+
+
+def _subtree_edges(args: Tuple[str, RawBasis, int]) -> Set[Edge]:
+    return set(_leaf_edges(args))
 
 
 def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Edge]]:
@@ -127,34 +129,19 @@ def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Edge]]:
     return verts, edges
 
 
-def _cross(u: Vec, v: Vec) -> Vec:
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _graph_task(args: Tuple[str, RawBasis, int]) -> Summary:
-    """One subtree's graph reduced to ({interior vertex: degree},
-    {rim vertex: non-rim edges at it}, rim edges).
+    """One subtree's graph reduced to ({vertex: internal edges at it},
+    rim edges).
 
-    The root (g1, g2, g3) is unimodular, so a vertex lies on the side
-    opposite g_k exactly when its dot product with g_i x g_j is 0.  A
-    vertex on no side is strictly inside the root: every edge at it is
-    this task's, so its degree is final.  An edge is on the rim when both
-    ends lie on one side; only rim edges can be shared with another
-    task, since any other edge runs through the root's interior.
+    The leaves tile the root with disjoint interiors, so an edge belongs
+    to one leaf or two.  One owned by two is internal: no other task has
+    it, and it is counted at both ends here.  One owned by one leaf is
+    the rim, returned as is: an edge two tasks share lies on both roots'
+    sides, so it is rim in each.
     """
-    edges = _subtree_edges(args)
-    g1, g2, g3 = args[1]
-    deg = Counter(chain.from_iterable(edges))
-    normals = (_cross(g2, g3), _cross(g3, g1), _cross(g1, g2))
-    sides = [{v for v in deg if a * v[0] + b * v[1] + c * v[2] == 0} for a, b, c in normals]
-    on_rim = sides[0] | sides[1] | sides[2]
-    rim = {e for e in edges if e[0] in on_rim and any(e[0] in s and e[1] in s for s in sides)}
-    interior = {v: d for v, d in deg.items() if v not in on_rim}
-    partial = {v: deg[v] for v in on_rim}
-    for u, v in rim:
-        partial[u] -= 1
-        partial[v] -= 1
-    return interior, partial, rim
+    owners = Counter(_leaf_edges(args))
+    deg = Counter(chain.from_iterable(e for e, k in owners.items() if k == 2))
+    return deg, {e for e, k in owners.items() if k == 1}
 
 
 # The unit square's symmetries that keep both rules' roots: the point
@@ -195,10 +182,9 @@ def _orbit_plan(algo: str, tasks: List[Tuple[str, RawBasis, int]]) -> List[Tuple
 
 
 def _image(summary: Summary, g: Symmetry) -> Summary:
-    interior, partial, rim = summary
+    deg, rim = summary
     return (
-        {g(*v): d for v, d in interior.items()},
-        {g(*v): d for v, d in partial.items()},
+        {g(*v): d for v, d in deg.items()},
         {(a, b) if a < b else (b, a) for a, b in ((g(*u), g(*v)) for u, v in rim)},
     )
 
@@ -208,27 +194,23 @@ def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     edge, so the keys are exactly the graph's vertices.
 
     Equal to counting the edges of ``graph_at(algo, n)`` per endpoint,
-    but each subtree task ships only its rim edges and degree counts,
-    and only the first task of each symmetry orbit runs: every other
-    task's summary is that task's, mapped by the symmetry between them.
-    The parent joins the degree maps in task order and adds one to both
-    ends of each distinct rim edge.
+    but each subtree task ships only its rim edges and the degree counts
+    of the rest, and only the first task of each symmetry orbit runs:
+    every other task's summary is that task's, mapped by the symmetry
+    between them.  The parent adds up the degree counts in task order
+    and counts both ends of each distinct rim edge.
     """
     tasks = _tasks(algo, n)
     plan = _orbit_plan(algo, tasks)
     runs = [i for i, (_, g) in enumerate(plan) if g is None]
     summaries = dict(zip(runs, run_tasks(_graph_task, [tasks[i] for i in runs], jobs)))
-    deg: Dict[Vec, int] = {}
+    deg: Counter = Counter()
     rim: Set[Edge] = set()
     for i, g in plan:
-        interior, partial, trim = summaries[i] if g is None else _image(summaries[i], g)
-        deg.update(interior)
-        for v, d in partial.items():
-            deg[v] = deg.get(v, 0) + d
+        tdeg, trim = summaries[i] if g is None else _image(summaries[i], g)
+        deg.update(tdeg)
         rim |= trim
-    for u, v in rim:
-        deg[u] += 1
-        deg[v] += 1
+    deg.update(chain.from_iterable(rim))
     return deg
 
 
@@ -237,9 +219,8 @@ def census(algo: str, n: int, jobs: int = 1) -> Census:
     closed-form face count."""
     # Counted from the whole graph, not the rim reduction: the benchmark's
     # tracer (perfbench/tracer.py) reads the graph size off graph_at.
-    verts, edges = graph_at(algo, n, jobs=jobs)
-    hist = Counter(Counter(chain.from_iterable(edges)).values())
-    return Census(algo, n, face_count(algo, n), len(edges), len(verts), dict(sorted(hist.items())))
+    _, edges = graph_at(algo, n, jobs=jobs)
+    return Census.of_degrees(algo, n, Counter(chain.from_iterable(edges)))
 
 
 def expected_counts(algo: str, n: int) -> Tuple[int, int, int]:

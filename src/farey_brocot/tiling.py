@@ -4,7 +4,9 @@ Two complementary engines live here.  The geometric engine walks actual
 lattice bases depth-first through ``descend`` and is used wherever
 vertices matter (graph censuses, containment, rendering, the verify
 checks).  It streams raw integer triples; ``iter_triangles`` and
-``locate`` wrap them as ``Triangle`` values.  The multiplicity engine
+``locate`` wrap them as ``Triangle`` values.  ``leaves`` walks the
+nodes at one depth below given roots, which is what ``iter_bases_at``,
+``iter_triangles`` and the graph tasks read.  The multiplicity engine
 evolves counts of denominator triples level by level; triples collapse
 heavily (millions of triangles share a few hundred thousand triples),
 which is what makes desk-scale moment sweeps affordable in exact
@@ -24,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress, pairwise
+from itertools import chain, compress, pairwise
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
@@ -97,11 +99,26 @@ def iter_bases(algo: str, n: int) -> Iterator[Tuple[RawBasis, int]]:
     return descend(initial_vectors(algo), lambda b, d: kids(*b) if d < n else ())
 
 
+def leaves(roots: Sequence[Node], kids: Callable[..., Sequence[Node]], k: int) -> Iterator[Node]:
+    """The nodes exactly k levels below ``roots``, in pre-order.
+
+    ``kids(*node)`` gives a node's children.  The walk stops one level
+    short and expands each node of that level inline, which spares a
+    descent step per leaf; the order is the one of filtering a depth-k
+    ``descend`` to depth k.
+    """
+    if k == 0:
+        return iter(roots)
+    last = k - 1
+    parents = descend(roots, lambda node, d: kids(*node) if d < last else ())
+    return chain.from_iterable(kids(*node) for node, d in parents if d == last)
+
+
 def iter_bases_at(algo: str, n: int) -> Iterator[RawBasis]:
     """Depth-first stream of the raw bases at exactly depth n."""
-    for basis, d in iter_bases(algo, n):
-        if d == n:
-            yield basis
+    if n < 0:
+        raise InvalidInputError("depth must be nonnegative")
+    yield from leaves(initial_vectors(algo), child_rule(algo), n)
 
 
 def _extend_code_b(code: Tuple[int, ...], rule: int, _last_corner: bool) -> Tuple[Tuple[int, ...], bool]:
@@ -121,16 +138,11 @@ def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
     extend = extend_code_a if algo == ALGO_A else _extend_code_b
 
     # nodes: (basis, code, last_corner flag)
-    def expand(node, d):
-        if d == n:
-            return ()
-        basis, code, lc = node
+    def coded_kids(basis, code, lc):
         return [(ch, *extend(code, rule, lc)) for rule, ch in enumerate(kids(*basis))]
 
-    roots = [(r, (), False) for r in initial_vectors(algo)]
-    for (basis, code, _), d in descend(roots, expand):
-        if d == n:
-            yield Triangle(basis, d, algo, code)
+    for basis, code, _ in leaves([(r, (), False) for r in initial_vectors(algo)], coded_kids, n):
+        yield Triangle(basis, n, algo, code)
 
 
 # No row of the classical walk holds more than 2^ROW_SPLIT + 1 endpoints.

@@ -37,7 +37,7 @@ from .core import (
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, child_rule, child_vectors_a, child_vectors_b
 from .census import (
     DEGREE_SET,
-    census,
+    Census,
     degrees_at,
     expected_counts,
     expected_degree_histogram_a,
@@ -372,7 +372,7 @@ def _census_formulas(algo: str, limit: int) -> Found:
     params = {"depth": depth}
     checked = 0
     for n in range(depth + 1):
-        c = census(algo, n)
+        c = Census.of_degrees(algo, n, degrees_at(algo, n))
         checked += 1
         expected = expected_counts(algo, n)
         if (c.faces, c.edges, c.vertices) != expected:

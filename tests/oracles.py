@@ -5,8 +5,12 @@
   ``core.coordinates`` and ``verify.disjoint_interiors``.
 * ``code_a_from_chain``: the run-length code read off a whole chain of
   nested triangles, the oracle for the incremental ``extend_code_a``.
-* ``stable_degrees``: degrees measured on explicit graphs, the oracle
-  for the creation-type grading of ``stable_degree_table``.
+* ``graph_degrees`` and ``stable_degrees``: degrees measured on the
+  whole graph of ``census.graph_at``, the oracle for the subtree
+  reduction ``census.degrees_at`` and for the creation-type grading of
+  ``stable_degree_table``.
+* ``nodes_by_descent``: the depth-n nodes filtered from a pre-order
+  walk, the oracle for ``tiling.leaves`` and the walkers that read it.
 * ``child_intervals`` and ``intervals_by_descent``: the classical rule
   on one interval, and the depth-n intervals from a pre-order walk of
   it, the oracle for ``tiling.classical_rows`` and every reader of it
@@ -24,12 +28,14 @@
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import fsum
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from farey_brocot.analysis import exact_sum
-from farey_brocot.census import degrees_at, split_degrees
+from farey_brocot.census import graph_at, split_degrees
 from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
 from farey_brocot.subdivision import ALGO_A, ALGO_B, child_vectors_a
 from farey_brocot.tiling import LevelCounts, descend, level_q_counts, split_q_states
@@ -158,12 +164,30 @@ def _validate_chain_a(chain: Sequence[Triangle]) -> None:
 # --- measured degrees -------------------------------------------------------
 
 
+def graph_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
+    """Degrees of the depth-n graph built in one piece by ``graph_at``,
+    counted per edge endpoint."""
+    _, edges = graph_at(algo, n, jobs=jobs)
+    return dict(Counter(chain.from_iterable(edges)))
+
+
 def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     """Degrees that already equal their value in the infinite graph."""
     if n < 1:
         raise InvalidInputError("stable degrees need depth >= 1")
-    older = degrees_at(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
-    return split_degrees(algo, degrees_at(algo, n, jobs=jobs), older)[0]
+    older = graph_degrees(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
+    return split_degrees(algo, graph_degrees(algo, n, jobs=jobs), older)[0]
+
+
+# --- the pre-order walk -----------------------------------------------------
+
+
+def nodes_by_descent(roots: Sequence, kids: Callable, n: int) -> Iterator:
+    """The depth-n nodes of a pre-order walk to depth n, filtered from
+    every node the walk meets; the oracle for ``tiling.leaves``."""
+    for node, d in descend(roots, lambda node, d: kids(*node) if d < n else ()):
+        if d == n:
+            yield node
 
 
 # --- the classical partition ------------------------------------------------

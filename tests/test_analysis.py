@@ -128,6 +128,19 @@ def test_classical_sweep_consistent():
     assert sweep[10] == pytest.approx(float(ex.value), rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [1, "3/2", 2, 3])
+def test_moment_sweep_reads_the_classical_sweep(beta):
+    b = Fraction(beta)
+    for jobs in (1, 2):
+        sweep = moment_sweep("classical", 14, b, jobs=jobs)
+        assert [x.hex() for x in sweep] == [x.hex() for x in classical_moment_sweep(14, b)]
+
+
+def test_classical_cumulative_check_refused_before_the_sweep():
+    # no summability bound is stated for the classical partition
+    _raises_fast(cumulative_moment_check, "classical", 2, 22, error=InvalidInputError)
+
+
 # orders 1-3 and the benchmark's beta sweep
 @pytest.mark.parametrize("beta", ["1", "2", "3", "3/2", "5/4", "7/4", "9/4", "5/2", "11/4", "13/4", "7/2"])
 def test_classical_sweep_equals_the_descent(beta):
@@ -513,8 +526,7 @@ def test_exact_order_bound(algo, n, top):
     _raises_fast(moment, algo, n, top + 1, exact=True)
     # a default request beyond the bound falls back to the float sweep
     m = moment(algo, n, top + 1)
-    sweep = classical_moment_sweep(n, top + 1) if algo == "classical" else moment_sweep(algo, n, top + 1)
-    assert not m.exact and m.value == sweep[n]
+    assert not m.exact and m.value == moment_sweep(algo, n, top + 1)[n]
 
 
 @pytest.mark.parametrize("algo,n,e", [("a", 3, 40), ("b", 12, 60), ("classical", 12, 20)])

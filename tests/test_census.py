@@ -1,10 +1,12 @@
 import time
 from collections import Counter
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from farey_brocot.core import CapacityError
+from farey_brocot.subdivision import child_rule
 from farey_brocot.census import (
     _SYMMETRIES,
     _graph_task,
@@ -22,7 +24,7 @@ from farey_brocot.census import (
     totients,
 )
 
-from oracles import stable_degrees
+from oracles import graph_degrees, nodes_by_descent, stable_degrees
 
 
 def test_census_a_spot_values():
@@ -64,41 +66,45 @@ def test_capacity_errors():
             assert time.perf_counter() - t0 < 1.0
 
 
-def _whole_graph(algo, n):
-    # the oracle: the depth-n graph built in one piece, degrees counted
-    # per edge endpoint
-    verts, edges = graph_at(algo, n)
-    deg = Counter()
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    return verts, edges, dict(deg)
-
-
 REDUCED_CASES = [("a", n, jobs) for n in range(7) for jobs in (1, 2)]
 REDUCED_CASES += [("b", n, jobs) for n in range(17) for jobs in (1, 2)]
+REDUCED_CASES += [("b", 17, 1)]  # CENSUS_DEPTH_CAP
 
 
 @pytest.mark.parametrize("algo,n,jobs", REDUCED_CASES)
 def test_reduced_graph_matches_the_whole_graph(algo, n, jobs):
-    verts, edges, deg = _whole_graph(algo, n)
+    verts, edges = graph_at(algo, n)
+    deg = graph_degrees(algo, n)
     assert degrees_at(algo, n, jobs=jobs) == deg
     c = census(algo, n, jobs=jobs)
     assert (c.edges, c.vertices) == (len(edges), len(verts))
     assert c.degree_histogram == dict(sorted(Counter(deg.values()).items()))
 
 
+def _leaf_owners(algo, root, levels):
+    # how many of the leaves `levels` steps below `root` own each edge
+    owners = Counter()
+    for basis in nodes_by_descent([root], child_rule(algo), levels):
+        owners.update(tuple(sorted(pair)) for pair in combinations(basis, 2))
+    return owners
+
+
 @pytest.mark.parametrize("algo,n", [("a", n) for n in range(6)] + [("b", n) for n in range(15)])
 def test_task_summaries_count_each_edge_once(algo, n):
-    summaries = [_graph_task(t) for t in _tasks(algo, n)]
-    rim = set().union(*(trim for _, _, trim in summaries))
-    # a non-rim edge has both ends in its task's interior and partial counts
-    ends = sum(sum(interior.values()) + sum(partial.values()) for interior, partial, _ in summaries)
-    assert ends % 2 == 0
-    assert ends // 2 + len(rim) == len(graph_at(algo, n)[1])
-    # interior vertices belong to one task only
-    interiors = [v for interior, _, _ in summaries for v in interior]
-    assert len(interiors) == len(set(interiors))
+    internal, rims = 0, set()
+    for task in _tasks(algo, n):
+        deg, rim = _graph_task(task)
+        owners = _leaf_owners(*task)
+        assert set(owners.values()) <= {1, 2}
+        # rim edges are the ones a single leaf owns
+        assert rim == {e for e, k in owners.items() if k == 1}
+        # the degree counts hold both ends of every edge two leaves own
+        shared = sum(k == 2 for k in owners.values())
+        assert sum(deg.values()) == 2 * shared
+        internal += shared
+        rims |= rim
+    # an internal edge is one task's alone; a rim edge may recur
+    assert internal + len(rims) == len(graph_at(algo, n)[1])
 
 
 @pytest.mark.parametrize("algo,depths,runs", [("a", range(2, 7), 20), ("b", range(4, 18), 8)])

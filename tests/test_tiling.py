@@ -2,14 +2,15 @@ import operator
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
 
 import pytest
 
 import farey_brocot.tiling as tiling
-from farey_brocot.census import stable_degree_table
+from farey_brocot.census import _leaf_edges, _subtree_edges, _tasks, stable_degree_table
 from farey_brocot.core import InvalidInputError, InvariantViolationError, det3, vec_add
+from farey_brocot.subdivision import child_rule, extend_code_a, initial_vectors
 from farey_brocot.tiling import (
     ROW_SPLIT,
     brocot_level,
@@ -28,7 +29,7 @@ from farey_brocot.tiling import (
     vertices_up_to,
 )
 
-from oracles import intervals_by_descent, point_in_triangle
+from oracles import intervals_by_descent, nodes_by_descent, point_in_triangle
 
 
 def test_enumerate_counts_and_unit_area():
@@ -50,6 +51,30 @@ def test_iter_bases_walks_every_depth_once(algo, n):
     assert [d for _, d in walk].count(n) == face_count(algo, n)
     for d in range(n + 1):
         assert [b for b, e in walk if e == d] == list(iter_bases_at(algo, d))
+
+
+@pytest.mark.parametrize("algo,n", [("a", n) for n in range(5)] + [("b", n) for n in range(11)])
+def test_leaves_walk_matches_the_filtered_walk(algo, n):
+    # the four readers of tiling.leaves, item for item against the
+    # depth-n nodes filtered from a whole pre-order walk
+    kids = child_rule(algo)
+    roots = initial_vectors(algo)
+    assert list(iter_bases_at(algo, n)) == list(nodes_by_descent(roots, kids, n))
+
+    extend = extend_code_a if algo == "a" else tiling._extend_code_b
+
+    def coded(basis, code, lc):
+        return [(ch, *extend(code, rule, lc)) for rule, ch in enumerate(kids(*basis))]
+
+    expected = [(basis, n, code) for basis, code, _ in nodes_by_descent([(r, (), False) for r in roots], coded, n)]
+    assert [(t.vertices, t.depth, t.code) for t in iter_triangles(algo, n)] == expected
+
+    for task in _tasks(algo, n):
+        _, root, levels = task
+        owners = Counter(tuple(sorted(pair)) for b in nodes_by_descent([root], kids, levels)
+                         for pair in combinations(b, 2))
+        assert Counter(_leaf_edges(task)) == owners
+        assert _subtree_edges(task) == set(owners)
 
 
 def test_depth0_areas():
