@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+
+from farey_brocot import cli
 
 CLI = [sys.executable, "-m", "farey_brocot.cli"]
 
@@ -277,7 +280,7 @@ def test_unwritable_out_is_invalid_input(tmp_path, command):
 
 
 def test_asym_refuses_the_out_path_before_the_sweep(tmp_path, monkeypatch, capsys):
-    from farey_brocot import analysis, cli
+    from farey_brocot import analysis
 
     def sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
@@ -376,3 +379,66 @@ def test_csv_format_for_verify_and_scalar():
     rows = list(csv.reader(io.StringIO(proc.stdout)))
     assert rows[0] == ["degrees", "f", "r", "v"]
     assert rows[1][1:] == ["12", "22", "11"]
+
+
+def _collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "command,small,large",
+    [
+        ("census --algo b --depth {}", 4, 12),
+        ("census --algo b --jobs 2 --depth {}", 4, 12),
+        ("moments --algo a --beta 2 --depth {}", 3, 7),
+        ("moments --algo a --beta 2 --jobs 2 --depth {}", 3, 7),
+        ("classical --beta 2 --depth {}", 8, 16),
+        ("dirichlet --algo a --beta 6 --qmax {}", 20, 120),
+        ("asym --algo b --beta 2 --n 2..{}", 6, 16),
+        ("render --algo b --out {out} --depth {}", 4, 10),
+        ("locate --algo a --point 3/7,2/9 --depth {}", 10, 400),
+        ("verify --algo a --depth {}", 1, 3),
+        ("verify --algo a --jobs 2 --depth {}", 1, 3),
+    ],
+)
+def test_request_garbage_does_not_grow_with_its_size(tmp_path, capsys, command, small, large):
+    # main runs with the cyclic collector off, which is safe only while
+    # the engines build no reference cycles: what a request leaves for
+    # the collector must not depend on how much work it did
+    def garbage(size):
+        argv = command.format(size, out=tmp_path / "t.svg").split()
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            _collector(enabled)
+        return gc.collect()
+
+    garbage(small)  # a module's first import leaves garbage once
+    assert garbage(small) == garbage(large)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "command,code,kind",
+    [
+        ("census --algo a --depth 1", 0, None),
+        ("moments --algo a --depth 2 --beta x", 2, "invalid-input"),
+        ("moments --algo a --depth 2 --beta 0.5", 1, "domain"),
+        ("census --algo a --depth 99", 1, "capacity"),
+        ("--help", 0, None),
+        ("census --algo zzz --depth 1", 2, None),
+    ],
+)
+def test_main_restores_the_callers_collector(capsys, enabled, command, code, kind):
+    was = gc.isenabled()
+    _collector(enabled)
+    try:
+        assert cli.main(command.split()) == code
+        assert gc.isenabled() is enabled
+    finally:
+        _collector(was)
+    if kind:
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == kind
