@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import fsum
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
@@ -81,8 +80,7 @@ MAX_DEGREE = 8
 PRIMITIVE_DENSITY = Fraction(4, 3)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(NamedTuple):
     """A truncated series value with a rigorous truncation bracket."""
 
     value: float
@@ -94,8 +92,7 @@ class SeriesValue:
         return self.value + self.tail_bound
 
 
-@dataclass(frozen=True)
-class MomentValue:
+class MomentValue(NamedTuple):
     """Moment of a tiling: sum of cell measures raised to `order`."""
 
     algo: str
@@ -494,8 +491,7 @@ def classical_L_direct(beta: Beta, qmax: int) -> SeriesValue:
 # --- asymptotic diagnostics -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(NamedTuple):
     algo: str
     n: int
     beta: float

@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
@@ -54,8 +53,7 @@ CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
 DEGREE_SET = {ALGO_A: frozenset({2, 3, 5, 8}), ALGO_B: frozenset({3, 5, 8})}
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     algo: str
     depth: int
     faces: int

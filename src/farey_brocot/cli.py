@@ -17,7 +17,6 @@ objects.  Forked workers inherit this; library calls are unaffected.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
 import json
@@ -152,6 +151,8 @@ def _do_asym(args) -> Tuple[Dict, Dict, Dict]:
     table = [{c: getattr(r, c) for c in ASYM_CSV_COLUMNS} for r in rows]
     result = {"rows": table}
     if args.out:
+        import csv  # imported where CSV is written: most requests write none
+
         text = io.StringIO()
         writer = csv.DictWriter(text, fieldnames=ASYM_CSV_COLUMNS)
         writer.writeheader()
@@ -333,6 +334,8 @@ def _emit(record: Dict, fmt: str) -> None:
 
 
 def _emit_csv(record: Dict) -> None:
+    import csv
+
     result = record["result"]
     writer = csv.writer(sys.stdout)
     if "rows" in result:

@@ -16,9 +16,8 @@ was reached by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 
 class InvalidInputError(ValueError):
@@ -75,8 +74,7 @@ def coordinates(basis: Tuple[Vec, Vec, Vec], target: Vec) -> Tuple[int, int, int
     return det3(target, g2, g3) * d, det3(g1, target, g3) * d, det3(g1, g2, target) * d
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """A lattice basis (three vectors, determinant +-1) and its projection
     to the unit square, with depth and code.
 

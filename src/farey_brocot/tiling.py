@@ -23,11 +23,10 @@ reads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, pairwise
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from .core import (
     CapacityError,
@@ -196,15 +195,13 @@ def brocot_level(n: int) -> List[Fraction]:
 LOCATE_DEPTH_CAP = 65536
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     triangle: Triangle
     child_index: int
     coefficients: Tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class DescentChain:
+class DescentChain(NamedTuple):
     """Nested triangles of one continued-fraction descent toward theta."""
 
     algo: str

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     InvalidInputError,
@@ -60,8 +59,7 @@ PASS, FAIL, SKIP = "pass", "fail", "skipped"
 Found = Tuple[Dict, int, Optional[Dict]]
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     claim: str
     algo: str
@@ -71,15 +69,14 @@ class CheckReport:
     witness: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class Skipped(Exception):
     """Raised by a check body when the depth limit leaves nothing to check."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     claim: str
     body: Callable[[str, int], Found]

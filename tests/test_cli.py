@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -442,3 +443,22 @@ def test_main_restores_the_callers_collector(capsys, enabled, command, code, kin
         _collector(was)
     if kind:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == kind
+
+
+def test_import_footprint():
+    # What `import farey_brocot.cli` adds to sys.modules in a fresh
+    # interpreter; the set difference leaves out whatever site hooks load.
+    # perfbench/tracer.py reads every module below from sys.modules right
+    # after that import, so none of them may become a lazy import.
+    code = (
+        "import sys; before = set(sys.modules); import farey_brocot.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert not added & {"dataclasses", "inspect", "csv"}
+    traced = {"tiling", "census", "analysis", "render", "verify", "cli", "_jobs"}
+    assert {f"farey_brocot.{m}" for m in traced} <= added
