@@ -7,8 +7,8 @@ closed form ``face_count``, and ``expected_counts`` gives closed forms
 for all three counts so the measured ones can be compared.
 
 The graph is built in subtrees, one task per triangle at a fixed split
-depth.  ``graph_at`` unions every task's edge set into the whole graph,
-which ``census`` counts.  ``degrees_at`` has each task reduce its own
+depth.  ``graph_at`` unions their edge sets, in one process, into the
+graph ``census`` counts.  ``degrees_at`` has each task reduce its own
 edges: an edge two of its leaves own is counted at both ends there, and
 the rest, the rim, the sole edges two tasks can share, is returned as a
 set.  It runs one task per orbit of the square's symmetries that keep
@@ -41,13 +41,12 @@ from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_ve
 from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
 from ._jobs import run_tasks
 
-# One CLI run each (2 CPUs, CPython 3.11): a/6 takes 0.49 s and 48 MiB,
-# a/7 3.35 s and 193.5 MiB, b/17 1.40 s and 101.6 MiB (1.61 s and
-# 103.6 MiB with --jobs 2), b/18 3.11 s and 221.8 MiB; so a/7 and b/18
-# exceed the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
+# Three CLI runs each at --jobs 1 or 2 (2 CPUs, CPython 3.11): a/6 takes
+# 0.42-0.43 s and 40 MiB, b/17 0.98-1.43 s and 86 MiB, a/7 2.0-2.1 s and
+# 158 MiB, b/18 2.5-3.2 s and 157.5 MiB; a/7 and b/18 stay refused, within
+# 5 % of the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
 # running one task per symmetry orbit, it takes 0.07-0.11 s and 22.5 MiB
-# at a/6 and 0.26-0.34 s and 31.3 MiB at b/17 (three fresh-process runs
-# each, same host).
+# at a/6 and 0.26-0.34 s and 31.3 MiB at b/17.
 CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
 
 DEGREE_SET = {ALGO_A: frozenset({2, 3, 5, 8}), ALGO_B: frozenset({3, 5, 8})}
@@ -108,20 +107,17 @@ def _leaf_edges(args: Tuple[str, RawBasis, int]) -> Iterator[Edge]:
         yield (g2, g3) if g2 < g3 else (g3, g2)
 
 
-def _subtree_edges(args: Tuple[str, RawBasis, int]) -> Set[Edge]:
-    return set(_leaf_edges(args))
-
-
-def graph_at(algo: str, n: int, jobs: int = 1) -> Tuple[Set[Vec], Set[Edge]]:
+def graph_at(algo: str, n: int) -> Tuple[Set[Vec], Set[Edge]]:
     """Vertex and edge sets of the depth-n triangulation graph.
 
-    Builds the whole graph in memory; ``degrees_at`` reduces each
-    subtree instead, and the tests compare it against this.  Every
-    vertex lies on an edge.
+    Builds the whole graph in this process, one subtree at a time: the
+    caller must hold all of it, so a worker would only ship its edges
+    back.  ``degrees_at`` reduces each subtree instead, and the tests
+    compare it against this.  Every vertex lies on an edge.
     """
     verts: Set[Vec] = set()
     edges: Set[Edge] = set()
-    for tedges in run_tasks(_subtree_edges, _tasks(algo, n), jobs):
+    for tedges in map(set, map(_leaf_edges, _tasks(algo, n))):
         verts.update(chain.from_iterable(tedges))
         edges |= tedges
     return verts, edges
@@ -212,12 +208,12 @@ def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
     return deg
 
 
-def census(algo: str, n: int, jobs: int = 1) -> Census:
+def census(algo: str, n: int) -> Census:
     """Measured edge and vertex counts and degree histogram, with the
     closed-form face count."""
     # Counted from the whole graph, not the rim reduction: the benchmark's
     # tracer (perfbench/tracer.py) reads the graph size off graph_at.
-    _, edges = graph_at(algo, n, jobs=jobs)
+    _, edges = graph_at(algo, n)
     return Census.of_degrees(algo, n, Counter(chain.from_iterable(edges)))
 
 

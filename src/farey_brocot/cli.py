@@ -87,7 +87,7 @@ def _write_out(path: str, text: str) -> None:
 
 
 def _do_census(args) -> Tuple[Dict, Dict, Dict]:
-    c = compute_census(args.algo, args.depth, jobs=args.jobs)
+    c = compute_census(args.algo, args.depth)
     result = {
         "f": c.faces,
         "r": c.edges,

@@ -369,7 +369,8 @@ def _census_formulas(algo: str, limit: int) -> Found:
     params = {"depth": depth}
     checked = 0
     for n in range(depth + 1):
-        c = Census.of_degrees(algo, n, degrees_at(algo, n))
+        deg = degrees_at(algo, n)
+        c = Census.of_degrees(algo, n, deg)
         checked += 1
         expected = expected_counts(algo, n)
         if (c.faces, c.edges, c.vertices) != expected:
@@ -377,7 +378,9 @@ def _census_formulas(algo: str, limit: int) -> Found:
                                      "expected": list(expected)}
         if algo == ALGO_A and c.degree_histogram != expected_degree_histogram_a(n):
             return params, checked, {"depth": n, "histogram": c.degree_histogram}
-        if sum(d * k for d, k in c.degree_histogram.items()) != 2 * c.edges:
+        # sum(deg) = 2r = 3f + boundary edges (each on one face) = 3f + boundary vertices (one cycle)
+        boundary = sum(a1 in (0, q) or a2 in (0, q) for q, a1, a2 in deg)
+        if sum(deg.values()) != 3 * c.faces + boundary:
             return params, checked, {"depth": n, "problem": "handshake"}
         if c.euler() != 1:
             return params, checked, {"depth": n, "problem": "euler", "value": c.euler()}

@@ -164,19 +164,19 @@ def _validate_chain_a(chain: Sequence[Triangle]) -> None:
 # --- measured degrees -------------------------------------------------------
 
 
-def graph_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
+def graph_degrees(algo: str, n: int) -> Dict[Vec, int]:
     """Degrees of the depth-n graph built in one piece by ``graph_at``,
     counted per edge endpoint."""
-    _, edges = graph_at(algo, n, jobs=jobs)
+    _, edges = graph_at(algo, n)
     return dict(Counter(chain.from_iterable(edges)))
 
 
-def stable_degrees(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
+def stable_degrees(algo: str, n: int) -> Dict[Vec, int]:
     """Degrees that already equal their value in the infinite graph."""
     if n < 1:
         raise InvalidInputError("stable degrees need depth >= 1")
-    older = graph_degrees(algo, n - 1, jobs=jobs) if algo == ALGO_B else {}
-    return split_degrees(algo, graph_degrees(algo, n, jobs=jobs), older)[0]
+    older = graph_degrees(algo, n - 1) if algo == ALGO_B else {}
+    return split_degrees(algo, graph_degrees(algo, n), older)[0]
 
 
 # --- the pre-order walk -----------------------------------------------------

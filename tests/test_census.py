@@ -1,4 +1,7 @@
+import functools
+import importlib
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import gcd
@@ -57,12 +60,12 @@ def test_census_b_matches_closed_forms(n):
 
 
 def test_capacity_errors():
-    # a/7 and b/18 would peak near 194 and 222 MiB; the tasks are never built
-    for fn in (census, degrees_at):
+    # a/7 and b/18 would peak near 158 MiB each; the tasks are never built
+    for fn in (census, functools.partial(degrees_at, jobs=2)):
         for algo, n in (("a", 7), ("a", 9), ("b", 18), ("b", 21)):
             t0 = time.perf_counter()
             with pytest.raises(CapacityError):
-                fn(algo, n, jobs=2)
+                fn(algo, n)
             assert time.perf_counter() - t0 < 1.0
 
 
@@ -76,9 +79,39 @@ def test_reduced_graph_matches_the_whole_graph(algo, n, jobs):
     verts, edges = graph_at(algo, n)
     deg = graph_degrees(algo, n)
     assert degrees_at(algo, n, jobs=jobs) == deg
-    c = census(algo, n, jobs=jobs)
+    c = census(algo, n)
     assert (c.edges, c.vertices) == (len(edges), len(verts))
     assert c.degree_histogram == dict(sorted(Counter(deg.values()).items()))
+
+
+def test_census_builds_its_graph_in_process(monkeypatch):
+    # No subtree's edge set goes through the task runner, whatever --jobs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was built through run_tasks")
+
+    monkeypatch.setattr(importlib.import_module("farey_brocot.census"), "run_tasks", refuse)
+    verts, edges = graph_at("b", 12)
+    c = census("b", 12)
+    assert (c.faces, c.edges, c.vertices) == expected_counts("b", 12)
+    assert (c.edges, c.vertices) == (len(edges), len(verts))
+
+
+def test_census_holds_its_graph_once():
+    # Peak traced memory over the size of the graph it counts: 1.09 when
+    # one subtree's edge set at a time is alive beside the whole graph,
+    # 1.67 when every subtree's set is alive before the union.
+    tracemalloc.start()
+    try:
+        graph = graph_at("b", 14)
+        size = tracemalloc.get_traced_memory()[0]
+        del graph
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        census("b", 14)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * size
 
 
 def _leaf_owners(algo, root, levels):

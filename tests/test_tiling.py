@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import farey_brocot.tiling as tiling
-from farey_brocot.census import _leaf_edges, _subtree_edges, _tasks, stable_degree_table
+from farey_brocot.census import _leaf_edges, _tasks, stable_degree_table
 from farey_brocot.core import InvalidInputError, InvariantViolationError, det3, vec_add
 from farey_brocot.subdivision import child_rule, extend_code_a, initial_vectors
 from farey_brocot.tiling import (
@@ -74,7 +74,6 @@ def test_leaves_walk_matches_the_filtered_walk(algo, n):
         owners = Counter(tuple(sorted(pair)) for b in nodes_by_descent([root], kids, levels)
                          for pair in combinations(b, 2))
         assert Counter(_leaf_edges(task)) == owners
-        assert _subtree_edges(task) == set(owners)
 
 
 def test_depth0_areas():

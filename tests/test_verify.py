@@ -165,6 +165,22 @@ def test_check_fails_under_its_fault(name, monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_FAULT_SHA256[name]
 
 
+def _boundary_vertex_moved_inside(algo, n, jobs=1):
+    # One boundary vertex renamed to an interior vector no depth has yet,
+    # with its degree: v, r, the histogram and v - r + f are unchanged.
+    deg = dict(degrees_at(algo, n, jobs))
+    v = next(v for v in deg if v[1] in (0, v[0]) or v[2] in (0, v[0]))
+    deg[(max(deg)[0] + 2, 1, 1)] = deg.pop(v)
+    return deg
+
+
+def test_census_formulas_count_face_edge_incidences(monkeypatch):
+    monkeypatch.setattr(verify, "degrees_at", _boundary_vertex_moved_inside)
+    for algo, depth in (("a", 4), ("b", 8)):
+        r = run_checks(algo, depth, ["census-formulas"])[0]
+        assert (r.status, r.checked, r.witness) == (FAIL, 1, {"depth": 0, "problem": "handshake"})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["a", "b"]), st.integers(0, 1), st.lists(st.integers(0, 5), min_size=1, max_size=5))
 def test_tiling_predicates_match_clip_oracle(algo, root, path):
