@@ -7,7 +7,11 @@ sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition, so results are independent of worker
-count and bit-identical across runs.  2-d moments read each level's
+count and bit-identical across runs.  A float moment at one depth, or
+from one depth on, sums only the depths it returns: the shallower
+levels are stepped, since the deeper ones grow from them, but not
+reduced.  Each depth's sum reads no other depth's, so it has the bits
+of the same depth in the full sweep.  2-d moments read each level's
 cell measures and counts in the dict engine's order: rule a's from the
 dicts of ``tiling.level_q_counts``, which must merge the children of
 different parents, and rule b's from the column lists of
@@ -29,7 +33,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from math import fsum
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -58,12 +62,14 @@ EXACT_FACE_CAP = 100_000
 # 0.4-0.6 s at depth 20 end to end, in 18 MiB, doubling per level
 # (2 CPUs, CPython 3.11).
 EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
-# Float moment sweeps, end to end (three runs, 2 CPUs, CPython 3.11):
-# a/10 at order 2 takes 7.4-8.9 s in 82 MiB and b/26 6.4-7.3 s in
-# 144 MiB, about the Dirichlet heads' ~7 s and 165 MiB budget.  The
-# classical sweep sums all 2^(n+1) - 1 intervals, about doubling per
-# level: 1.8-2.5 s at depth 22 in 18 MiB.  Depth 23 would fit too, but
-# raising a cap would admit requests that have been refused so far.
+# Float moments, end to end (3-6 runs, 2 CPUs, CPython 3.11): a/10 at
+# order 2 takes 7.4-8.9 s in 82 MiB.  A moment sums its own depth alone:
+# b/26 takes 4.8-6.6 s in 143 MiB, and asym's sweep from depth 2 to 26
+# 6.9-8.6 s, about the Dirichlet heads' ~7 s and 165 MiB budget.  A
+# classical moment sums the 2^n intervals of its depth, 1.2-1.7 s at depth
+# 22 in 17 MiB; a sweep from depth 0 sums all 2^(n+1) - 1, about doubling
+# per level, 1.8-2.9 s at depth 22.  Depth 23 would fit too, but raising
+# a cap would admit requests that have been refused so far.
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 # An exact moment of order e >= 2 has a denominator dividing L^e, where L
 # is the lcm of the depth-n cells' measure denominators (2pqr, or qr for
@@ -182,17 +188,18 @@ def exact_sum(terms: Iterable[Tuple[int, int]]) -> Fraction:
 
 
 def _levels(
-    algo: str, n: int, start: Optional[LevelCounts] = None
+    algo: str, first: int, n: int, start: Optional[LevelCounts] = None
 ) -> Iterator[Tuple[Iterable[int], Iterable[int]]]:
-    # Each level 0..n as (cell measure denominators 2pqr, counts), in the
-    # dict engine's order.  Rule b's come lazily from its columns; rule
-    # a's dicts merge children of different parents, and a list of their
-    # measures is faster to sum than a generator.
+    # Each level first..n as (cell measure denominators 2pqr, counts), in
+    # the dict engine's order; the levels below first are stepped, not
+    # yielded.  Rule b's come lazily from its columns; rule a's dicts merge
+    # children of different parents, and a list of their measures is
+    # faster to sum than a generator.
     if algo == ALGO_B:
-        for P, Q, R, C in level_columns_b(n, start):
+        for P, Q, R, C in islice(level_columns_b(n, start), first, None):
             yield map(operator.mul, map(operator.mul, map(operator.mul, P, Q), R), repeat(2)), C
     else:
-        for level in level_q_counts(algo, n, start):
+        for level in islice(level_q_counts(algo, n, start), first, None):
             yield [2 * p * q * r for p, q, r in level], level.values()
 
 
@@ -205,35 +212,42 @@ def _level_moment_float(measures: Iterable[int], counts: Iterable[int], beta: fl
     return fsum([c * float(m) ** -beta for m, c in pairs])
 
 
-def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, float]) -> List[float]:
-    algo, triple, count, levels, beta = args
-    return [_level_moment_float(m, c, beta) for m, c in _levels(algo, levels, {triple: count})]
+def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, int, float]) -> List[float]:
+    algo, triple, count, first, levels, beta = args
+    return [_level_moment_float(m, c, beta) for m, c in _levels(algo, first, levels, {triple: count})]
 
 
 def _split_depth(algo: str, n: int) -> int:
     return min(n, 3 if algo == ALGO_A else 6)
 
 
-def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
-    """Floating moments for every depth 0..n in one pass.
-
-    The work is split over a canonical task list at a fixed depth, so
-    per-depth sums are byte-identical regardless of `jobs`.  The
-    classical sweep is ``classical_moment_sweep``, on one worker.
-    """
+def _moments_from(algo: str, lo: int, n: int, beta: Beta, jobs: int = 1) -> List[float]:
+    # moment_sweep(algo, n, beta, jobs)[lo:], for 0 <= lo <= n: the levels
+    # shallower than lo are stepped but never summed.
     if algo == ALGO_CLASSICAL:
-        return classical_moment_sweep(n, beta)
+        return _classical_moments_from(lo, n, beta)
     _check_moment_args(algo, n, beta)
     bf = float(_as_beta(beta))
     split = _split_depth(algo, n)
     prefix = []
-    for d, (measures, counts) in enumerate(_levels(algo, split)):
-        if d < split:
-            prefix.append(_level_moment_float(measures, counts, bf))
-    tasks = [(algo, t, c, n - split, bf) for t, c in split_q_states(algo, split)]
-    partials = run_tasks(_moment_task, tasks, jobs)
-    merged = [fsum(p[d] for p in partials) for d in range(n - split + 1)]
-    return prefix + merged
+    if lo < split:
+        prefix = [_level_moment_float(m, c, bf) for m, c in _levels(algo, lo, split - 1)]
+    tasks = [(algo, t, c, max(lo - split, 0), n - split, bf) for t, c in split_q_states(algo, split)]
+    return prefix + list(map(fsum, zip(*run_tasks(_moment_task, tasks, jobs))))
+
+
+def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
+    """Floating moments for every depth 0..n in one pass.
+
+    The work is split over a canonical task list at a fixed depth, so
+    per-depth sums are byte-identical regardless of `jobs`.  A depth's
+    value is the ``fsum``, over the tasks in order, of each task's
+    ``fsum`` of that depth's terms, and reads no other depth's sum; so
+    ``moment``, and ``asymptotic_sweep`` from its lowest depth, sum only
+    the depths they return and get the same bits as this sweep.  The
+    classical sweep is ``classical_moment_sweep``, on one worker.
+    """
+    return _moments_from(algo, 0, n, beta, jobs)
 
 
 def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: int = 1) -> MomentValue:
@@ -242,18 +256,19 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     Exact-rational mode runs when beta is a positive integer and the
     tiling fits the exact budget for its order (see ``exact_mode``).
     Otherwise the value is a compensated floating sum in canonical
-    order.
+    order.  Either way only depth n is summed; the float value is
+    ``moment_sweep(algo, n, beta)[n]`` to the bit, since no depth's sum
+    in the sweep reads another's.
     """
     if algo == ALGO_CLASSICAL:
         return classical_moment(n, beta, exact=exact)
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        for measures, counts in _levels(algo, n):
-            pass
+        ((measures, counts),) = _levels(algo, n, n)
         value = exact_sum(zip(counts, map(pow, measures, repeat(int(b)))))
         return MomentValue(algo, n, b, value, True)
-    value = moment_sweep(algo, n, b, jobs=jobs)[n]
+    value = _moments_from(algo, n, n, b, jobs)[0]
     return MomentValue(algo, n, b, value, False)
 
 
@@ -278,8 +293,7 @@ def _lcm_bits(algo: str, n: int) -> int:
         # the products qr is the lcm of the endpoints.
         _, rows = _classical_rows_at(n)
         return math.lcm(*{q for row in rows for q in row}).bit_length()
-    for measures, _ in _levels(algo, n):
-        pass
+    ((measures, _),) = _levels(algo, n, n)
     return math.lcm(*set(measures)).bit_length()
 
 
@@ -317,23 +331,31 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
 def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
     """Floating classical moments for depths 0..n, one Kahan sum per depth
     over that depth's intervals, left to right."""
+    return _classical_moments_from(0, n, beta)
+
+
+def _classical_moments_from(lo: int, n: int, beta: Beta) -> List[float]:
+    # classical_moment_sweep(n, beta)[lo:]: the rows shallower than lo are
+    # refined but not summed, and each depth's Kahan sum is its own.
     _check_moment_args(ALGO_CLASSICAL, n, beta)
     bf = float(_as_beta(beta))
-    sums = [0.0] * (n + 1)
-    comps = [0.0] * (n + 1)
+    sums = [0.0] * (n + 1 - lo)
+    comps = [0.0] * (n + 1 - lo)
     for d, (row,) in classical_rows(n, ([1, 1],)):
+        if d < lo:
+            continue
         products = map(operator.mul, row, row[1:])
         if bf == 2.0:
             terms = [1.0 / float(x * x) for x in products]
         else:
             terms = [float(x) ** -bf for x in products]
-        s, c = sums[d], comps[d]
+        s, c = sums[d - lo], comps[d - lo]
         for term in terms:  # the Kahan step
             y = term - c
             t = s + y
             c = (t - s) - y
             s = t
-        sums[d], comps[d] = s, c
+        sums[d - lo], comps[d - lo] = s, c
     return sums
 
 
@@ -357,7 +379,7 @@ def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> Moment
         products = (x for row in rows for x in map(operator.mul, row, row[1:]))
         value = weight * exact_sum((1, x**e) for x in products)
         return MomentValue(ALGO_CLASSICAL, n, b, value, True)
-    return MomentValue(ALGO_CLASSICAL, n, b, classical_moment_sweep(n, b)[n], False)
+    return MomentValue(ALGO_CLASSICAL, n, b, _classical_moments_from(n, n, b)[0], False)
 
 
 def exact_unit_sum(algo: str, n: int) -> Fraction:
@@ -515,8 +537,8 @@ def main_term(algo: str, n: int, beta: Beta, series_value: float) -> float:
 
 
 def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1) -> List[AsymptoticRow]:
-    """AsymptoticRow for every n in [n_lo, n_hi]; one moment sweep, one
-    series evaluation."""
+    """AsymptoticRow for every n in [n_lo, n_hi]; one moment sweep, which
+    sums the depths from n_lo on, and one series evaluation."""
     b = _as_beta(beta)
     if b <= 1:
         raise DomainError("asymptotic diagnostics need beta > 1")
@@ -533,14 +555,12 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
         series = classical_L(2 * b)
     else:
         series, _ = dirichlet_L_auto(algo, 3 * b)
-    sigmas = moment_sweep(algo, n_hi, b, jobs=jobs)
+    sigmas = _moments_from(algo, n_lo, n_hi, b, jobs)
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n, sigma in enumerate(sigmas, n_lo):
         mt = main_term(algo, n, b, series.value)
         rows.append(
-            AsymptoticRow(
-                algo, n, float(b), sigmas[n], mt, sigmas[n] / mt, series.value, series.tail_bound
-            )
+            AsymptoticRow(algo, n, float(b), sigma, mt, sigma / mt, series.value, series.tail_bound)
         )
     return rows
 

@@ -204,6 +204,57 @@ def test_rule_b_moments_equal_the_dict_engine(beta, rule_b_dict_sweeps):
         assert [row.sigma.hex() for row in rows] == oracle[2:]
 
 
+# the benchmark's beta sweep and order 2
+ONE_DEPTH_ORDERS = ["2", "3/2", "5/4", "7/4", "9/4", "5/2", "11/4", "13/4", "7/2"]
+
+
+@pytest.mark.parametrize("beta", ONE_DEPTH_ORDERS)
+@pytest.mark.parametrize("algo,top", [("b", 22), ("a", 8)])
+def test_one_depth_moment_equals_the_sweep(algo, top, beta):
+    # A float moment sums only its own depth, with the bits of the full
+    # sweep's entry; depths run from below the split depth (6 for b, 3
+    # for a) past it.
+    b = Fraction(beta)
+    sweep = [x.hex() for x in moment_sweep(algo, top, b)]
+    for jobs in (1, 2):
+        assert [moment(algo, n, b, exact=False, jobs=jobs).value.hex() for n in range(top + 1)] == sweep
+
+
+@pytest.mark.parametrize("beta", ONE_DEPTH_ORDERS)
+def test_one_depth_classical_moment_equals_the_sweep(beta):
+    # Depths 13-22 read rows split below depths 1-10.  Past depth 18,
+    # where a depth costs seconds per order, only orders 2 and 3/2 run,
+    # one for each form of the terms: 1 / x^2 and x^-beta.
+    b = Fraction(beta)
+    top = 22 if beta in ("2", "3/2") else 18
+    sweep = [x.hex() for x in classical_moment_sweep(top, b)]
+    assert [classical_moment(n, b, exact=False).value.hex() for n in range(top + 1)] == sweep
+
+
+@pytest.mark.parametrize("beta", ONE_DEPTH_ORDERS)
+@pytest.mark.parametrize(
+    "algo,hi,lows",
+    [
+        ("b", 14, (5, 6, 7, 14)),  # split depth 6
+        ("a", 6, (2, 3, 4, 6)),  # split depth 3
+        ("classical", ROW_SPLIT + 3, (2, 3, 4, ROW_SPLIT + 3)),  # rows split below depth 3
+    ],
+)
+def test_asymptotic_sweep_from_its_lowest_depth_equals_the_sweep(algo, hi, lows, beta, monkeypatch):
+    # The sigmas never read the series, so a stand-in skips its head (over
+    # a second per call for rule a at order 5/4) and its refusals.
+    series = SeriesValue(1.0, 0.0, 1)
+    monkeypatch.setattr(analysis, "dirichlet_L_auto", lambda *_: (series, 8))
+    monkeypatch.setattr(analysis, "classical_L", lambda *_: series)
+    b = Fraction(beta)
+    sweep = [x.hex() for x in moment_sweep(algo, hi, b)]
+    for jobs in (1, 2):
+        for lo in lows:
+            rows = asymptotic_sweep(algo, b, lo, hi, jobs=jobs)
+            assert [row.n for row in rows] == list(range(lo, hi + 1))
+            assert [row.sigma.hex() for row in rows] == sweep[lo:]
+
+
 @pytest.mark.parametrize("n", [*range(17), 22])
 def test_exact_rule_b_moments_equal_the_dict_engine(n):
     orders = range(1, 5) if n <= 15 else [1]  # orders >= 2 are exact to depth 15
@@ -220,7 +271,7 @@ def test_unordered_rule_b_task_raises():
     # the column engine checks its start triples before any work
     for triple in ((3, 1, 1), (1, 2, 1), (2, 1, 2)):
         with pytest.raises(InvariantViolationError):
-            analysis._moment_task(("b", triple, 1, 20, 2.0))
+            analysis._moment_task(("b", triple, 1, 0, 20, 2.0))
 
 
 def test_exact_unit_sum_all_lanes():
