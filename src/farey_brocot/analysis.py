@@ -12,11 +12,15 @@ from one depth on, sums only the depths it returns: the shallower
 levels are stepped, since the deeper ones grow from them, but not
 reduced.  Each depth's sum reads no other depth's, so it has the bits
 of the same depth in the full sweep.  2-d moments read each level's
-cell measures and counts in the dict engine's order: rule a's from the
-dicts of ``tiling.level_q_counts``, which must merge the children of
-different parents, and rule b's from the column lists of
-``tiling.level_columns_b``, which need no dict because no two rule-b
-parents share a child.  Classical moments read the row walk
+cell measures and counts: rule a's from the dicts of
+``tiling.level_q_counts``, which must merge the children of different
+parents, and rule b's from column lists, which need no dict because no
+two rule-b parents share a child.  A rule-b level is read off the
+children of the level above (``tiling.child_columns_b``), and a level
+summed alone comes as blocks of a depth-first walk, so its memory grows
+with depth, not with the level: ``tiling.child_blocks_b`` for float
+sums, and ``tiling.level_blocks_b``, in the level's own order, for
+exact ones.  Classical moments read the row walk
 ``tiling.classical_rows``: the float sweep is one Kahan sum per depth
 over that depth's intervals, left to right.  The depth-n row is a
 palindrome, so an exact moment merges the left half's terms, in the
@@ -33,7 +37,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import fsum
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
@@ -41,9 +45,13 @@ from .core import CapacityError, DomainError, InvalidInputError
 from .census import check_degree_counts, check_sieve, degree_counts, totients
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
 from .tiling import (
+    Columns,
     LevelCounts,
+    child_blocks_b,
+    child_columns_b,
     classical_rows,
     face_count,
+    level_blocks_b,
     level_columns_b,
     level_q_counts,
     split_q_states,
@@ -54,18 +62,21 @@ Beta = Union[int, float, Fraction]
 
 EXACT_FACE_CAP = 100_000
 # Exact order-1 moments, in cells.  The 2-d rules merge the last level's
-# distinct triples.  End to end, a/8 takes 0.4-0.6 s in 59 MiB and b/22
-# 0.6 s in 76 MiB; in process, a/9 takes 2.5 s and 298 MiB, beyond the
-# ~165 MiB budget.  Rule b's column levels would fit b/23 (1.3 s and
-# 98 MiB in process), but the cap is kept, so that no request refused so
-# far is admitted.  Classical moments merge the left half's intervals:
+# distinct triples.  End to end, a/8 takes 0.4-0.6 s in 59 MiB; in
+# process, a/9 takes 2.5 s and 298 MiB, beyond the ~165 MiB budget.  Rule
+# b walks its last levels in blocks, in 16-17 MiB at any depth: b/22
+# takes 0.5-0.6 s, and b/23, b/24 and b/25 would take 1.0, 1.9 and 4.2 s,
+# but the cap is kept, so that no request refused so far is admitted.
+# Classical moments merge the left half's intervals:
 # 0.4-0.6 s at depth 20 end to end, in 18 MiB, doubling per level
 # (2 CPUs, CPython 3.11).
 EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # Float moments, end to end (3-6 runs, 2 CPUs, CPython 3.11): a/10 at
 # order 2 takes 7.4-8.9 s in 82 MiB.  A moment sums its own depth alone:
-# b/26 takes 4.8-6.6 s in 143 MiB, and asym's sweep from depth 2 to 26
-# 6.9-8.6 s, about the Dirichlet heads' ~7 s and 165 MiB budget.  A
+# b/26 takes 2.8-3.4 s in 17 MiB, walking its last levels in blocks, and
+# asym's sweep from depth 2 to 26, which holds each task's levels to
+# depth 25 whole, 5.5-6.9 s in 78 MiB, within the Dirichlet heads' ~7 s
+# and 165 MiB budget.  A
 # classical moment sums the 2^n intervals of its depth, 1.2-1.7 s at depth
 # 22 in 17 MiB; a sweep from depth 0 sums all 2^(n+1) - 1, about doubling
 # per level, 1.8-2.9 s at depth 22.  Depth 23 would fit too, but raising
@@ -187,34 +198,65 @@ def exact_sum(terms: Iterable[Tuple[int, int]]) -> Fraction:
     return Fraction(*reduce(_merge, reversed(stack), (0, 1)))
 
 
-def _levels(
-    algo: str, first: int, n: int, start: Optional[LevelCounts] = None
-) -> Iterator[Tuple[Iterable[int], Iterable[int]]]:
-    # Each level first..n as (cell measure denominators 2pqr, counts), in
-    # the dict engine's order; the levels below first are stepped, not
-    # yielded.  Rule b's come lazily from its columns; rule a's dicts merge
-    # children of different parents, and a list of their measures is
-    # faster to sum than a generator.
-    if algo == ALGO_B:
-        for P, Q, R, C in islice(level_columns_b(n, start), first, None):
-            yield map(operator.mul, map(operator.mul, map(operator.mul, P, Q), R), repeat(2)), C
-    else:
+Part = Tuple[Iterable[int], Iterable[int]]
+
+
+def _cells_b(cols: Columns) -> Part:
+    P, Q, R, C = cols
+    return map(operator.mul, map(operator.mul, map(operator.mul, P, Q), R), repeat(2)), C
+
+
+def _levels(algo: str, first: int, n: int, start: Optional[LevelCounts] = None) -> Iterator[Iterable[Part]]:
+    # Each level first..n as parts (cell measure denominators 2pqr,
+    # counts), which together hold the level's cells and counts; the
+    # levels below first are stepped, not yielded.  Rule a's one part
+    # is its dict level, whose children of different parents merge, and
+    # a list of its measures is faster to sum than a generator.  Rule b
+    # never merges two parents' children, so its last level is read
+    # straight off the children of level n-1 (``child_columns_b``), with
+    # no interleave, and a level summed alone comes as the blocks of
+    # ``child_blocks_b``, in memory bounded by depth: at order 2, b/26
+    # sums in 2.8-3.4 s and 17 MiB end to end, where stepping it whole
+    # took 3.7-5.1 s and 143 MiB.  A sweep holds its levels down to n-1
+    # whole.
+    if algo != ALGO_B:
         for level in islice(level_q_counts(algo, n, start), first, None):
-            yield [2 * p * q * r for p, q, r in level], level.values()
+            yield [([2 * p * q * r for p, q, r in level], level.values())]
+    elif first == n:
+        yield map(_cells_b, child_blocks_b(n, start))
+    else:
+        for d, cols in enumerate(level_columns_b(n - 1, start)):
+            if d >= first:
+                yield [_cells_b(cols)]
+        yield map(_cells_b, child_columns_b(*cols))
 
 
-def _level_moment_float(measures: Iterable[int], counts: Iterable[int], beta: float) -> float:
-    pairs = zip(measures, counts)
+def _level_at(algo: str, n: int) -> Iterable[Part]:
+    # Level n alone, in the level's own order, in which the pairwise exact
+    # sum merges the cells of each subtree first: in process, exact b/22
+    # at order 1 took 0.9 s in the order of child_blocks_b, and 0.5 s in
+    # this one.
+    if algo == ALGO_B:
+        return map(_cells_b, level_blocks_b(n))
+    (parts,) = _levels(algo, n, n)
+    return parts
+
+
+def _terms(measures: Iterable[int], counts: Iterable[int], beta: float) -> Iterator[float]:
     if beta == 2.0:
-        return fsum([c / float(m * m) for m, c in pairs])
+        return map(operator.truediv, counts, map(float, map(pow, measures, repeat(2))))
     if beta == 1.0:
-        return fsum([c / float(m) for m, c in pairs])
-    return fsum([c * float(m) ** -beta for m, c in pairs])
+        return map(operator.truediv, counts, map(float, measures))
+    return map(operator.mul, counts, map(pow, map(float, measures), repeat(-beta)))
+
+
+def _level_moment_float(parts: Iterable[Part], beta: float) -> float:
+    return fsum(chain.from_iterable(_terms(m, c, beta) for m, c in parts))
 
 
 def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, int, float]) -> List[float]:
     algo, triple, count, first, levels, beta = args
-    return [_level_moment_float(m, c, beta) for m, c in _levels(algo, first, levels, {triple: count})]
+    return [_level_moment_float(parts, beta) for parts in _levels(algo, first, levels, {triple: count})]
 
 
 def _split_depth(algo: str, n: int) -> int:
@@ -231,7 +273,7 @@ def _moments_from(algo: str, lo: int, n: int, beta: Beta, jobs: int = 1) -> List
     split = _split_depth(algo, n)
     prefix = []
     if lo < split:
-        prefix = [_level_moment_float(m, c, bf) for m, c in _levels(algo, lo, split - 1)]
+        prefix = [_level_moment_float(parts, bf) for parts in _levels(algo, lo, split - 1)]
     tasks = [(algo, t, c, max(lo - split, 0), n - split, bf) for t, c in split_q_states(algo, split)]
     return prefix + list(map(fsum, zip(*run_tasks(_moment_task, tasks, jobs))))
 
@@ -265,8 +307,8 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
-        ((measures, counts),) = _levels(algo, n, n)
-        value = exact_sum(zip(counts, map(pow, measures, repeat(int(b)))))
+        e = int(b)
+        value = exact_sum(chain.from_iterable(zip(c, map(pow, m, repeat(e))) for m, c in _level_at(algo, n)))
         return MomentValue(algo, n, b, value, True)
     value = _moments_from(algo, n, n, b, jobs)[0]
     return MomentValue(algo, n, b, value, False)
@@ -293,8 +335,7 @@ def _lcm_bits(algo: str, n: int) -> int:
         # the products qr is the lcm of the endpoints.
         _, rows = _classical_rows_at(n)
         return math.lcm(*{q for row in rows for q in row}).bit_length()
-    ((measures, _),) = _levels(algo, n, n)
-    return math.lcm(*set(measures)).bit_length()
+    return math.lcm(*set(chain.from_iterable(m for m, _ in _level_at(algo, n)))).bit_length()
 
 
 def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> bool:

@@ -41,10 +41,10 @@ from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_ve
 from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
 from ._jobs import run_tasks
 
-# Three CLI runs each at --jobs 1 or 2 (2 CPUs, CPython 3.11): a/6 takes
-# 0.42-0.43 s and 40 MiB, b/17 0.98-1.43 s and 86 MiB, a/7 2.0-2.1 s and
-# 158 MiB, b/18 2.5-3.2 s and 157.5 MiB; a/7 and b/18 stay refused, within
-# 5 % of the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
+# One to five CLI runs each at --jobs 1 or 2 (2 CPUs, CPython 3.11): a/6
+# takes 0.3-0.4 s and 38 MiB, b/17 1.0-1.6 s and 82 MiB, a/7 2.0-2.9 s and
+# 148 MiB, b/18 2.5-3.2 s and 149 MiB; a/7 and b/18 stay refused, within
+# 10 % of the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
 # running one task per symmetry orbit, it takes 0.07-0.11 s and 22.5 MiB
 # at a/6 and 0.26-0.34 s and 31.3 MiB at b/17.
 CENSUS_DEPTH_CAP = {ALGO_A: 6, ALGO_B: 17}
@@ -212,8 +212,9 @@ def census(algo: str, n: int) -> Census:
     """Measured edge and vertex counts and degree histogram, with the
     closed-form face count."""
     # Counted from the whole graph, not the rim reduction: the benchmark's
-    # tracer (perfbench/tracer.py) reads the graph size off graph_at.
-    _, edges = graph_at(algo, n)
+    # tracer (perfbench/tracer.py) reads the graph size off graph_at.  Only
+    # the edges are kept, so the vertex set is freed before the count.
+    edges = graph_at(algo, n)[1]
     return Census.of_degrees(algo, n, Counter(chain.from_iterable(edges)))
 
 

@@ -9,7 +9,7 @@ bytes.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL, initial_vectors
@@ -62,11 +62,16 @@ def _render_square(algo: str, depth: int, labels: bool, label_cap: int) -> str:
     out: List[str] = [_HEADER.format(w=_SIZE, h=_SIZE)]
     out.append(f'<rect x="0" y="0" width="{_SIZE}" height="{_SIZE}" fill="white"/>\n')
     out.append('<g fill="none" stroke="#555" stroke-width="0.6">\n')
-    verts: Set[Vec] = set()
+    text: Dict[Vec, str] = {}  # each vertex's "x,y", formatted when first seen
+
+    def point(v: Vec) -> str:
+        t = text.get(v)
+        if t is None:
+            t = text[v] = ",".join(xy(v))
+        return t
+
     for basis in iter_bases_at(algo, depth):
-        pts = " ".join(",".join(xy(v)) for v in basis)
-        out.append(f'<polygon points="{pts}"/>\n')
-        verts.update(basis)
+        out.append(f'<polygon points="{" ".join(map(point, basis))}"/>\n')
     out.append("</g>\n")
     out.append('<g fill="none" stroke="#000" stroke-width="2">\n')
     for basis in initial_vectors(algo):
@@ -75,8 +80,8 @@ def _render_square(algo: str, depth: int, labels: bool, label_cap: int) -> str:
     out.append("</g>\n")
     if labels:
         out.append('<g font-family="monospace" font-size="10" fill="#a00">\n')
-        for q, a1, a2 in sorted(verts)[:label_cap]:
-            x, y = xy((q, a1, a2))
+        for q, a1, a2 in sorted(text)[:label_cap]:
+            x, y = text[q, a1, a2].split(",")
             out.append(f'<text x="{x}" y="{y}">({a1},{a2})/{q}</text>\n')
         out.append("</g>\n")
     out.append("</svg>\n")

@@ -14,7 +14,9 @@ arithmetic.  ``level_q_counts`` keeps a level as a dict, since rule a
 merges the children of different parents.  Rule b never does: its
 triples stay ordered (Lemma 13), and an ordered triple has one ordered
 parent, so ``level_columns_b`` steps whole rule-b levels as parallel
-lists, with no dict, for the moments.  The dict engine stays the
+lists, with no dict, for the moments, and ``level_blocks_b`` and
+``child_blocks_b`` walk one deep level as blocks of those lists, depth
+first.  The dict engine stays the
 independent one that the verify checks read.  The classical partition
 has one walk, ``classical_rows``, which every classical enumeration
 reads.
@@ -332,17 +334,26 @@ def _interleave(first: List, second: List) -> List:
     return out
 
 
-def _step_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Columns:
+def _children_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Tuple[Columns, Columns, Optional[List]]:
+    # (first children, second children, keep): every parent's two
+    # children as columns, parent by parent.  They differ only in their
+    # last entry, q against r, so a parent's twins (q == r) merge into its
+    # first child, with the count doubled; keep marks the second children
+    # that are not a twin's, and is None when all are.
     first, second = child_vectors_b(P, Q, R, add=_add_columns)
-    # The two children differ only in their last entry, Q against R.
     twins = list(map(operator.eq, Q, R))
-    cols = [_interleave(x, y) for x, y in zip(first, second)]
     if not any(twins):
-        return (*cols, _interleave(C, C))
-    # A parent's twins merge into its first child, with the count doubled.
-    cols.append(_interleave(list(map(operator.lshift, C, twins)), C))
-    keep = _interleave([True] * len(C), list(map(operator.not_, twins)))
-    return tuple(list(compress(col, keep)) for col in cols)
+        return (*first, C), (*second, C), None
+    doubled = list(map(operator.lshift, C, twins))
+    return (*first, doubled), (*second, C), list(map(operator.not_, twins))
+
+
+def _step_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Columns:
+    first, second, keep = _children_b(P, Q, R, C)
+    if keep is None:
+        return tuple(_interleave(x, y) for x, y in zip(first, second))
+    keep = _interleave([True] * len(C), keep)
+    return tuple(list(compress(_interleave(x, y), keep)) for x, y in zip(first, second))
 
 
 def level_columns_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
@@ -368,6 +379,62 @@ def level_columns_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Col
     for _ in range(n):
         cols = _step_columns_b(*cols)
         yield cols
+
+
+def child_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Tuple[Columns, ...]:
+    """The children of a block of rule-b states as blocks of columns:
+    the first children, then the second children of the parents whose
+    two children are not twins (a twin's first child carries count 2c).
+
+    Together they hold the states of ``_step_columns_b`` on the block,
+    counts included, without its interleave; no block is longer than
+    its parent block, and an empty one is left out.
+    """
+    first, second, keep = _children_b(P, Q, R, C)
+    if keep is None:
+        return first, second
+    second = tuple(list(compress(col, keep)) for col in second)
+    return (first, second) if second[0] else (first,)
+
+
+# The block walks start below the first level larger than this many
+# states, in blocks of this many states.
+_BLOCK = 1024
+
+
+def _blocks(cols: Columns) -> List[Columns]:
+    # cols cut into blocks of _BLOCK states, in order
+    return [tuple(col[i : i + _BLOCK] for col in cols) for i in range(0, len(cols[3]), _BLOCK)]
+
+
+def _walk_b(n: int, start: Optional[LevelCounts], kids: Callable[..., Sequence]) -> Iterator[Columns]:
+    # Whole levels are stepped until one holds more than _BLOCK states;
+    # that level is cut into blocks, and each block is walked depth first
+    # through kids, which never gives a block of more than _BLOCK states.
+    # The walk holds two blocks per level below the cut, so its memory
+    # grows with depth, not with the level.
+    for d, cols in enumerate(level_columns_b(n, start)):
+        if d == n or len(cols[3]) > _BLOCK:
+            break
+    return leaves(_blocks(cols), kids, n - d)
+
+
+def level_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
+    """The last ``level_columns_b(n, start)`` level, item for item and in
+    order, as blocks of at most ``_BLOCK`` states, in bounded memory.
+
+    Each block is stepped by the level step and cut again, so each
+    subtree's states stay together: the order in which a pairwise exact
+    sum merges the cells that share factors first.
+    """
+    return _walk_b(n, start, lambda *block: _blocks(_step_columns_b(*block)))
+
+
+def child_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
+    """The states and counts of ``level_blocks_b(n, start)`` in another
+    order, for sums that do not depend on it: each block's children are
+    the blocks of ``child_columns_b``, with no interleave."""
+    return _walk_b(n, start, child_columns_b)
 
 
 CodedState = Tuple[int, int, int, int, bool]

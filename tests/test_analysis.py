@@ -1,6 +1,8 @@
 import functools
 import math
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import farey_brocot.analysis as analysis
+import farey_brocot.tiling as tiling
 from oracles import (
     classical_moment_sweep_by_descent,
     exact_moment_by_dicts,
@@ -16,7 +19,14 @@ from oracles import (
 )
 from farey_brocot.core import CapacityError, DomainError, InvalidInputError, InvariantViolationError
 from farey_brocot.census import degree_counts, stable_degree_table
-from farey_brocot.tiling import LOCATE_DEPTH_CAP, ROW_SPLIT, iter_triangles, level_q_counts, locate
+from farey_brocot.tiling import (
+    LOCATE_DEPTH_CAP,
+    ROW_SPLIT,
+    iter_triangles,
+    level_columns_b,
+    level_q_counts,
+    locate,
+)
 from farey_brocot.analysis import (
     AUTO_QMAX_CAP,
     AUTO_REL_TAIL,
@@ -202,6 +212,60 @@ def test_rule_b_moments_equal_the_dict_engine(beta, rule_b_dict_sweeps):
     if b > 1 and b < 400:  # asym refuses order 1, and order 400's main term overflows
         rows = asymptotic_sweep("b", b, 2, 21, jobs=2)
         assert [row.sigma.hex() for row in rows] == oracle[2:]
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_rule_b_blocks_equal_the_dict_engine(block, rule_b_dict_sweeps, monkeypatch):
+    # A one-depth moment walks its task's deep levels block by block from
+    # the first level larger than a block; small blocks start that walk a
+    # level or two below each task's root, and below the root of the
+    # exact moments and _lcm_bits, which read one level whole.
+    monkeypatch.setattr(tiling, "_BLOCK", block)
+    for beta in SWEEP_ORDERS:
+        b = Fraction(beta)
+        oracle = [x.hex() for x in rule_b_dict_sweeps[beta][:17]]
+        for jobs in (1, 2):
+            assert [moment("b", n, b, exact=False, jobs=jobs).value.hex() for n in range(17)] == oracle
+            assert [x.hex() for x in moment_sweep("b", 16, b, jobs=jobs)] == oracle
+    for n in range(13):
+        orders = (1, 2, 3)
+        assert [moment("b", n, e, exact=True).value for e in orders] == [
+            exact_moment_by_dicts("b", n, e) for e in orders
+        ]
+    for n, level in enumerate(level_q_counts("b", 16)):
+        assert _lcm_bits("b", n) == math.lcm(*{2 * p * q * r for p, q, r in level}).bit_length()
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_depth_rule_b_moment_memory_is_bounded():
+    # Each level doubles, so stepping whole levels would need about 4x the
+    # memory two levels deeper; the block walk's grows with depth alone.
+    assert _traced_peak(moment, "b", 22, 2) < 2 * _traced_peak(moment, "b", 20, 2)
+
+
+@pytest.mark.parametrize("block", [1, 3, tiling._BLOCK])
+def test_merged_twin_terms_in_the_subnormal_range(block, rule_b_dict_sweeps, monkeypatch):
+    # A parent (p, q, q) merges its twin children into one cell of measure
+    # 2 * 2q * p * q and count 2c.  At order 100 some merged cells at these
+    # depths have terms under the smallest normal float, and the sums must
+    # still be the dict engine's, which holds the merged cells.
+    monkeypatch.setattr(tiling, "_BLOCK", block)
+    b = Fraction(100)
+    for n in (12, 14):
+        *_, (P, Q, R, C) = level_columns_b(n - 1)
+        terms = [2 * c * float(4 * p * q * q) ** -100.0 for p, q, r, c in zip(P, Q, R, C) if q == r]
+        assert any(0 < t < sys.float_info.min for t in terms), n
+        oracle = rule_b_dict_sweeps["100"][n].hex()
+        assert moment("b", n, b, exact=False).value.hex() == oracle
+        assert moment_sweep("b", n, b)[n].hex() == oracle
 
 
 # the benchmark's beta sweep and order 2

@@ -113,6 +113,26 @@ def test_columns_equal_the_dict_levels():
             assert _same_level(cols, level), (triple, d)
 
 
+@pytest.mark.parametrize("block", [1, 3, 1024])
+def test_blocks_hold_the_dict_levels(block, monkeypatch):
+    # level_blocks_b joins into the dict level item for item and in order,
+    # child_blocks_b holds the same states and counts in another order,
+    # and no block is empty or outgrows the block size; from the root and
+    # from every task start of the rule-b moment sweep.
+    monkeypatch.setattr(tiling, "_BLOCK", block)
+    starts = [None] + [{t: c} for t, c in split_q_states("b", 6)]
+    for start in starts:
+        for n, level in enumerate(level_q_counts("b", 12, start)):
+            position = {state: i for i, state in enumerate(level)}
+            for walk in (tiling.level_blocks_b, tiling.child_blocks_b):
+                blocks = list(walk(n, start))
+                assert all(0 < len(C) <= block for *_, C in blocks)
+                cells = [(state, c) for P, Q, R, C in blocks for state, c in zip(zip(P, Q, R), C)]
+                if walk is tiling.child_blocks_b:
+                    cells.sort(key=lambda cell: position[cell[0]])
+                assert cells == list(level.items()), (start, n, walk)
+
+
 @pytest.mark.parametrize(
     "start", [{(3, 1, 1): 1}, {(1, 2, 1): 2}, {(2, 1, 2): 1}, {(2, 1, 1): 1, (5, 3, 1): 1}]
 )
