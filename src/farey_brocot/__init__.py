@@ -14,7 +14,6 @@ from .core import (
     InvariantViolationError,
     Triangle,
     det3,
-    shoelace_area,
 )
 from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
 from .tiling import (
@@ -85,7 +84,6 @@ __all__ = [
     "summability_bound",
     "render_svg",
     "run_checks",
-    "shoelace_area",
     "stable_degree_table",
     "vertices_up_to",
     "zeta",

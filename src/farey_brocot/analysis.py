@@ -122,7 +122,7 @@ class MomentValue(NamedTuple):
 def _as_beta(beta: Beta) -> Fraction:
     try:
         b = Fraction(beta)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an infinity
         raise InvalidInputError(f"bad order {beta!r}") from exc
     return b
 
@@ -150,7 +150,7 @@ def zeta(s: float, tol: float = 1e-12) -> SeriesValue:
     tol^(-1/s), so near s = 1 a loose tolerance must be supplied.
     """
     s = float(s)
-    if s <= 1:
+    if not s > 1:  # also rejects NaN
         raise DomainError(f"zeta series diverges for s = {s}")
     if not tol > 0:  # also rejects NaN
         raise InvalidInputError(f"tolerance must be positive, got {tol}")
@@ -567,7 +567,7 @@ class AsymptoticRow(NamedTuple):
 
 def main_term(algo: str, n: int, beta: Beta, series_value: float) -> float:
     """Predicted moment: the series coefficient over the depth power."""
-    bf = float(_as_beta(beta))
+    bf = _float_order(_as_beta(beta), "main term")
     if algo == ALGO_A:
         return series_value / float(2 * n * n) ** bf
     if algo == ALGO_B:
@@ -608,7 +608,7 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
 
 def summability_bound(algo: str, beta: Beta) -> float:
     """Upper bound for the sum of all moments of order beta > 1."""
-    bf = float(_as_beta(beta))
+    bf = _float_order(_as_beta(beta), "summability")
     if bf <= 1:
         raise DomainError("summability bounds need beta > 1")
     za = zeta(2.0 * bf)

@@ -39,7 +39,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tu
 from .core import CapacityError, InvalidInputError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
 from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
-from ._jobs import run_tasks
 
 # One to five CLI runs each at --jobs 1 or 2 (2 CPUs, CPython 3.11): a/6
 # takes 0.3-0.4 s and 38 MiB, b/17 1.0-1.6 s and 82 MiB, a/7 2.0-2.9 s and
@@ -90,8 +89,7 @@ Summary = Tuple[Dict[Vec, int], Set[Edge]]
 
 
 def _tasks(algo: str, n: int) -> List[Tuple[str, RawBasis, int]]:
-    # One task per root triangle at a fixed split depth: the list depends
-    # only on (algo, n), never on the worker count.
+    # One task per root triangle at a fixed split depth.
     _check_capacity(algo, n)
     split = min(n, 2 if algo == ALGO_A else 4)
     return [(algo, root, n - split) for root in iter_bases_at(algo, split)]
@@ -183,21 +181,23 @@ def _image(summary: Summary, g: Symmetry) -> Summary:
     )
 
 
-def degrees_at(algo: str, n: int, jobs: int = 1) -> Dict[Vec, int]:
+def degrees_at(algo: str, n: int) -> Dict[Vec, int]:
     """Vertex degree map of the depth-n graph.  Every vertex lies on an
     edge, so the keys are exactly the graph's vertices.
 
     Equal to counting the edges of ``graph_at(algo, n)`` per endpoint,
-    but each subtree task ships only its rim edges and the degree counts
+    but each subtree task keeps only its rim edges and the degree counts
     of the rest, and only the first task of each symmetry orbit runs:
     every other task's summary is that task's, mapped by the symmetry
-    between them.  The parent adds up the degree counts in task order
-    and counts both ends of each distinct rim edge.
+    between them.  The degree counts add up in task order, and both
+    ends of each distinct rim edge are counted.  Everything runs in this
+    process: ``verify --jobs`` runs the degree checks in pool workers,
+    which cannot start pools of their own.
     """
     tasks = _tasks(algo, n)
     plan = _orbit_plan(algo, tasks)
     runs = [i for i, (_, g) in enumerate(plan) if g is None]
-    summaries = dict(zip(runs, run_tasks(_graph_task, [tasks[i] for i in runs], jobs)))
+    summaries = {i: _graph_task(tasks[i]) for i in runs}
     deg: Counter = Counter()
     rim: Set[Edge] = set()
     for i, g in plan:
@@ -290,10 +290,10 @@ def stable_degree_table(algo: str, qmax: int) -> Dict[Vec, int]:
     mediants, 8 for interior-edge mediants.  Regularity of the
     partitions makes the creation site, and hence the grade, unique.
     """
+    kids = child_rule(algo)
     if qmax < 1:
         raise InvalidInputError("qmax must be >= 1")
     deg: Dict[Vec, int] = dict(_INITIAL_DEGREES[algo])
-    kids = child_rule(algo)
 
     def expand(basis: RawBasis, _depth: int):
         children = kids(*basis)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 
 class InvalidInputError(ValueError):
@@ -97,28 +97,6 @@ class Triangle(NamedTuple):
         """1/(2 q(a) q(b) q(c)), equal to the shoelace area for a
         unimodular basis (checked by the verify suite)."""
         return Fraction(1, 2 * math.prod(self.denominators()))
-
-    def shoelace_area(self) -> Fraction:
-        return shoelace_area(self.points())
-
-    def diameter(self) -> float:
-        """Largest vertex distance; the only rounding is the final sqrt."""
-        return math.sqrt(diameter_sq(self))
-
-    def contains(self, point: Point) -> bool:
-        """Whether the closed triangle holds the rational point."""
-        return min(coordinates(self.vertices, point_vector(point))) >= 0
-
-
-def shoelace_area(points: Sequence[Point]) -> Fraction:
-    """Exact area of a simple polygon given by rational vertices."""
-    n = len(points)
-    acc = Fraction(0)
-    for i in range(n):
-        x0, y0 = points[i]
-        x1, y1 = points[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return abs(acc) / 2
 
 
 def distance_sq(p: Point, q: Point) -> Fraction:

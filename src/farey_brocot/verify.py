@@ -298,23 +298,23 @@ def _lemma16(algo: str, limit: int) -> Found:
     return params, checked, None
 
 
-def sample_contraction(
-    chains: int = 200,
-    depth: int = 12,
-    max_denominator: int = 100,
-    seed: int = 20260809,
-) -> Tuple[int, Optional[Dict]]:
+# The sample the theorem1-contraction report echoes in its params.
+_CONTRACTION_CHAINS = 200
+_CONTRACTION_MAX_DENOMINATOR = 100
+
+
+def sample_contraction(chains: int = _CONTRACTION_CHAINS, depth: int = 12) -> Tuple[int, Optional[Dict]]:
     """Exact contraction audit over seeded random rational points.
 
     Compares squared diameters as rationals: position k (1-based, depth
     k-1) must satisfy diam^2 <= ((k-1)/k)^2 x parent diam^2.  Returns
     (steps checked, first witness or None).
     """
-    rng = random.Random(seed)
+    rng = random.Random(20260809)
     checked = 0
     for _ in range(chains):
-        q1 = rng.randint(1, max_denominator)
-        q2 = rng.randint(1, max_denominator)
+        q1 = rng.randint(1, _CONTRACTION_MAX_DENOMINATOR)
+        q2 = rng.randint(1, _CONTRACTION_MAX_DENOMINATOR)
         theta = (Fraction(rng.randint(0, q1), q1), Fraction(rng.randint(0, q2), q2))
         chain = locate(ALGO_A, theta, depth)
         tris = chain.triangles()
@@ -335,8 +335,8 @@ def sample_contraction(
 
 def _contraction(algo: str, limit: int) -> Found:
     depth = min(limit, 12)
-    params = {"depth": depth, "chains": 200, "max_denominator": 100}
-    return (params, *sample_contraction(chains=200, depth=depth))
+    params = {"depth": depth, "chains": _CONTRACTION_CHAINS, "max_denominator": _CONTRACTION_MAX_DENOMINATOR}
+    return (params, *sample_contraction(depth=depth))
 
 
 _COMPLETENESS_QMAX = 15

@@ -1,8 +1,10 @@
 """Slow, independent definitions that the tests hold the package against.
 
 * Rational plane geometry (``orientation``, ``point_in_triangle``,
-  ``convex_clip``): the oracle for the integer determinant predicates
-  ``core.coordinates`` and ``verify.disjoint_interiors``.
+  ``convex_clip``, ``shoelace_area``): the oracle for the integer
+  determinant predicates ``core.coordinates`` and
+  ``verify.disjoint_interiors``, and for the integer area identity of
+  ``verify.scaled_shoelace_area``.
 * ``code_a_from_chain``: the run-length code read off a whole chain of
   nested triangles, the oracle for the incremental ``extend_code_a``.
 * ``graph_degrees`` and ``stable_degrees``: degrees measured on the
@@ -37,7 +39,7 @@ from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from farey_brocot.analysis import exact_sum
 from farey_brocot.census import graph_at, split_degrees
-from farey_brocot.core import InvalidInputError, Point, Triangle, Vec, shoelace_area
+from farey_brocot.core import InvalidInputError, Point, Triangle, Vec
 from farey_brocot.subdivision import ALGO_A, ALGO_B, child_vectors_a
 from farey_brocot.tiling import LevelCounts, descend, level_q_counts, split_q_states
 
@@ -96,6 +98,17 @@ def _line_intersection(a: Point, b: Point, p: Point, q: Point) -> Point:
     d2 = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
     t = Fraction(d1, d1 - d2)
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def shoelace_area(points: Sequence[Point]) -> Fraction:
+    """Exact area of a simple polygon given by rational vertices."""
+    n = len(points)
+    acc = Fraction(0)
+    for i in range(n):
+        x0, y0 = points[i]
+        x1, y1 = points[(i + 1) % n]
+        acc += x0 * y1 - x1 * y0
+    return abs(acc) / 2
 
 
 def _points(vectors: Sequence[Vec]) -> List[Point]:

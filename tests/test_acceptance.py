@@ -34,8 +34,11 @@ from farey_brocot.census import (
     expected_degree_histogram_a,
     graph_at,
 )
+from farey_brocot.core import diameter_sq
 from farey_brocot.tiling import iter_triangles, locate, vertices_up_to
 from farey_brocot.verify import run_checks, sample_contraction
+
+from oracles import shoelace_area
 
 ARTIFACTS = Path(__file__).parent / "artifacts"
 
@@ -122,7 +125,7 @@ def test_criterion_04_area_formula():
         for n in range(6):
             for tri in iter_triangles(algo, n):
                 qa, qb, qc = tri.denominators()
-                assert Fraction(1, 2 * qa * qb * qc) == tri.shoelace_area()
+                assert Fraction(1, 2 * qa * qb * qc) == shoelace_area(tri.points())
     _report(4, "area formula equals shoelace (depths <= 5)")
 
 
@@ -145,7 +148,7 @@ def test_criterion_06_denominator_lemmas():
 def test_criterion_07_contraction():
     # The chain position k (1-based; depth k-1) carries the contraction
     # factor (1 - 1/k): tight with equality along corner chains, which is
-    # why the exact-square audit and the 1e-12 float slack both matter.
+    # why the diameters are compared as exact squares.
     import random
 
     rng = random.Random(20260809)
@@ -155,15 +158,12 @@ def test_criterion_07_contraction():
         q2 = rng.randint(1, 100)
         theta = (Fraction(rng.randint(0, q1), q1), Fraction(rng.randint(0, q2), q2))
         tris = locate("a", theta, 12).triangles()
-        diams = [t.diameter() for t in tris]
+        diams_sq = [diameter_sq(t) for t in tris]
         for pos in range(2, 13):
             checked += 1
-            assert diams[pos - 1] <= (1 - 1 / pos) * diams[pos - 2] + 1e-12, (
-                theta,
-                pos,
-            )
+            assert diams_sq[pos - 1] * pos**2 <= diams_sq[pos - 2] * (pos - 1) ** 2, (theta, pos)
     assert checked == 1000 * 11
-    steps, witness = sample_contraction(chains=1000, depth=12, max_denominator=100)
+    steps, witness = sample_contraction(chains=1000, depth=12)
     assert witness is None, witness
     _report(7, "contraction factor along 1000 chains")
 

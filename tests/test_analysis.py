@@ -688,3 +688,31 @@ def test_main_term_beyond_the_float_range(algo, beta):
     # raised before the series and the moment sweep are computed
     _raises_fast(asymptotic_sweep, algo, beta, 2, 3, error=DomainError)
     _raises_fast(asymptotic_sweep, algo, Fraction(10**400), 2, 3, error=DomainError)
+
+
+
+INF, HUGE = float("inf"), Fraction(10**400)
+BAD_ORDER = (InvalidInputError, "^bad order -?inf$")
+OUT_OF_RANGE = (DomainError, "^[a-z ]+ order is beyond the float range$")
+
+
+@pytest.mark.parametrize(
+    "fn,args,refusal",
+    [
+        pytest.param(moment, ("a", 2, INF), BAD_ORDER, id="moment-inf"),
+        pytest.param(moment, ("b", 2, -INF), BAD_ORDER, id="moment-minus-inf"),
+        pytest.param(dirichlet_L, ("a", INF, 8), BAD_ORDER, id="dirichlet_L-inf"),
+        pytest.param(classical_L_direct, (INF, 8), BAD_ORDER, id="classical_L_direct-inf"),
+        pytest.param(summability_bound, ("a", INF), BAD_ORDER, id="summability_bound-inf"),
+        pytest.param(asymptotic_sweep, ("a", INF, 2, 3), BAD_ORDER, id="asymptotic_sweep-inf"),
+        pytest.param(summability_bound, ("a", HUGE), OUT_OF_RANGE, id="summability_bound-huge"),
+        pytest.param(cumulative_moment_check, ("b", HUGE, 3), OUT_OF_RANGE, id="cumulative_moment_check-huge"),
+        pytest.param(main_term, ("a", 3, HUGE, 1.0), OUT_OF_RANGE, id="main_term-huge"),
+        pytest.param(zeta, (float("nan"),), (DomainError, "^zeta series diverges for s = nan$"), id="zeta-nan"),
+    ],
+)
+def test_orders_at_infinity_nan_or_beyond_the_float_range(fn, args, refusal):
+    # the package's own errors, not a raw OverflowError or a NaN ValueError
+    error, match = refusal
+    with pytest.raises(error, match=match):
+        fn(*args)

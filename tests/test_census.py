@@ -8,7 +8,8 @@ from math import gcd
 
 import pytest
 
-from farey_brocot.core import CapacityError
+from farey_brocot._jobs import run_tasks
+from farey_brocot.core import CapacityError, InvalidInputError
 from farey_brocot.subdivision import child_rule
 from farey_brocot.census import (
     _SYMMETRIES,
@@ -26,6 +27,7 @@ from farey_brocot.census import (
     stable_degree_table,
     totients,
 )
+from farey_brocot.tiling import vertices_up_to
 
 from oracles import graph_degrees, nodes_by_descent, stable_degrees
 
@@ -61,7 +63,7 @@ def test_census_b_matches_closed_forms(n):
 
 def test_capacity_errors():
     # a/7 and b/18 would peak near 158 MiB each; the tasks are never built
-    for fn in (census, functools.partial(degrees_at, jobs=2)):
+    for fn in (census, degrees_at):
         for algo, n in (("a", 7), ("a", 9), ("b", 18), ("b", 21)):
             t0 = time.perf_counter()
             with pytest.raises(CapacityError):
@@ -76,9 +78,11 @@ REDUCED_CASES += [("b", 17, 1)]  # CENSUS_DEPTH_CAP
 
 @pytest.mark.parametrize("algo,n,jobs", REDUCED_CASES)
 def test_reduced_graph_matches_the_whole_graph(algo, n, jobs):
+    # At jobs = 2 the map is built in each of two pool workers, where
+    # ``verify --jobs 2`` runs the degree checks.
     verts, edges = graph_at(algo, n)
     deg = graph_degrees(algo, n)
-    assert degrees_at(algo, n, jobs=jobs) == deg
+    assert run_tasks(functools.partial(degrees_at, algo), [n] * jobs, jobs) == [deg] * jobs
     c = census(algo, n)
     assert (c.edges, c.vertices) == (len(edges), len(verts))
     assert c.degree_histogram == dict(sorted(Counter(deg.values()).items()))
@@ -89,7 +93,8 @@ def test_census_builds_its_graph_in_process(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the graph was built through run_tasks")
 
-    monkeypatch.setattr(importlib.import_module("farey_brocot.census"), "run_tasks", refuse)
+    monkeypatch.setattr(importlib.import_module("farey_brocot._jobs"), "run_tasks", refuse)
+    assert not hasattr(importlib.import_module("farey_brocot.census"), "run_tasks")
     verts, edges = graph_at("b", 12)
     c = census("b", 12)
     assert (c.faces, c.edges, c.vertices) == expected_counts("b", 12)
@@ -241,3 +246,9 @@ def test_degree_two_vertices_are_the_off_diagonal_corners():
         deg = degrees_at("a", n)
         twos = sorted(v for v, d in deg.items() if d == 2)
         assert twos == [(1, 0, 0), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("fn", [vertices_up_to, degree_counts, stable_degree_table])
+def test_vector_tables_refuse_the_classical_rule(fn):
+    with pytest.raises(InvalidInputError):
+        fn("classical", 5)

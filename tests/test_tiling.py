@@ -190,7 +190,7 @@ def test_locate_corner_chain():
     chain = locate("a", (Fraction(0), Fraction(0)), 5)
     for step in chain.steps:
         assert sorted(step.coefficients).count(Fraction(0)) >= 2
-        assert step.triangle.contains((Fraction(0), Fraction(0)))
+        assert point_in_triangle((Fraction(0), Fraction(0)), step.triangle.points())
     assert [s.child_index for s in chain.steps[1:]] == [0] * 5
 
 
@@ -346,7 +346,7 @@ def test_locate_chain_properties(q1, q2, n1, n2, algo):
     for step in chain.steps:
         assert min(step.coefficients) >= 0
         assert abs(det3(*step.triangle.vertices)) == 1
-        assert step.triangle.contains(theta)
+        assert point_in_triangle(theta, step.triangle.points())
 
 
 def _vertex_depth_by_points(chain):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import farey_brocot.verify as verify
 from farey_brocot.census import degrees_at
-from farey_brocot.core import InvalidInputError, coordinates, shoelace_area
+from farey_brocot.core import InvalidInputError, coordinates
 from farey_brocot.subdivision import child_rule, initial_vectors
 from farey_brocot.verify import (
     CHECKS,
@@ -20,7 +20,7 @@ from farey_brocot.verify import (
     scaled_shoelace_area,
 )
 
-from oracles import clip_disjoint, clip_inside
+from oracles import clip_disjoint, clip_inside, shoelace_area
 
 
 def test_all_checks_pass_a():
@@ -94,9 +94,9 @@ def test_degree_stability_skips_without_lookahead():
     assert report.params == {"reason": "depth limit leaves no room for lookahead"}
 
 
-def _bumped_degrees(algo, n, jobs=1):
+def _bumped_degrees(algo, n):
     # one stable vertex changes degree from depth 3 on
-    deg = dict(degrees_at(algo, n, jobs))
+    deg = dict(degrees_at(algo, n))
     if n >= 3:
         deg[min(deg)] += 1
     return deg
@@ -165,10 +165,10 @@ def test_check_fails_under_its_fault(name, monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_FAULT_SHA256[name]
 
 
-def _boundary_vertex_moved_inside(algo, n, jobs=1):
+def _boundary_vertex_moved_inside(algo, n):
     # One boundary vertex renamed to an interior vector no depth has yet,
     # with its degree: v, r, the histogram and v - r + f are unchanged.
-    deg = dict(degrees_at(algo, n, jobs))
+    deg = dict(degrees_at(algo, n))
     v = next(v for v in deg if v[1] in (0, v[0]) or v[2] in (0, v[0]))
     deg[(max(deg)[0] + 2, 1, 1)] = deg.pop(v)
     return deg
