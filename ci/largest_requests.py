@@ -32,7 +32,9 @@ REQUESTS = [
     # every check at a/6 and b/16, the deepest depths the degree and census
     # checks run at, and at classical/20
     "verify --algo a --depth 6",
+    "verify --algo a --depth 6 --jobs 2",
     "verify --algo b --depth 16",
+    "verify --algo b --depth 16 --jobs 2",
     "verify --algo classical --depth 20",
     # the deepest float sweeps the moment cap admits, alone and under asym
     "classical --depth 22 --beta 2",
@@ -89,6 +91,16 @@ EQUALITIES = [
         "b/26 order 2: moment equals its --jobs 2 value",
         ("moments --algo b --depth 26 --beta 2", _sigma),
         ("moments --algo b --depth 26 --beta 2 --jobs 2", _sigma),
+    ),
+    (
+        "verify a/6: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",
+        ("verify --algo a --depth 6", _apart_from_time_and_jobs),
+        ("verify --algo a --depth 6 --jobs 2", _apart_from_time_and_jobs),
+    ),
+    (
+        "verify b/16: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",
+        ("verify --algo b --depth 16", _apart_from_time_and_jobs),
+        ("verify --algo b --depth 16 --jobs 2", _apart_from_time_and_jobs),
     ),
     (
         "census b/17: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",

@@ -567,13 +567,17 @@ class AsymptoticRow(NamedTuple):
 
 def main_term(algo: str, n: int, beta: Beta, series_value: float) -> float:
     """Predicted moment: the series coefficient over the depth power."""
-    bf = _float_order(_as_beta(beta), "main term")
-    if algo == ALGO_A:
-        return series_value / float(2 * n * n) ** bf
-    if algo == ALGO_B:
-        return 2.0**bf * series_value / float(n) ** (2.0 * bf)
-    if algo == ALGO_CLASSICAL:
-        return series_value / float(n) ** bf
+    b = _as_beta(beta)
+    bf = _float_order(b, "main term")
+    try:
+        if algo == ALGO_A:
+            return series_value / float(2 * n * n) ** bf
+        if algo == ALGO_B:
+            return 2.0**bf * series_value / float(n) ** (2.0 * bf)
+        if algo == ALGO_CLASSICAL:
+            return series_value / float(n) ** bf
+    except OverflowError:
+        raise DomainError(f"the main term at n = {n} for order {b} is beyond the float range") from None
     raise InvalidInputError(f"unknown algorithm {algo!r}")
 
 
@@ -586,12 +590,7 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
     if n_lo < 2 or n_hi < n_lo:
         raise InvalidInputError("need 2 <= n_lo <= n_hi")
     _check_moment_args(algo, n_hi, b)
-    try:  # the depth power grows with n, so n_hi's is the largest
-        main_term(algo, n_hi, b, 1.0)
-    except OverflowError:
-        raise DomainError(
-            f"the main term at n = {n_hi} for order {b} is beyond the float range"
-        ) from None
+    main_term(algo, n_hi, b, 1.0)  # the depth power grows with n, so n_hi's is the largest
     if algo == ALGO_CLASSICAL:
         series = classical_L(2 * b)
     else:
@@ -608,7 +607,8 @@ def asymptotic_sweep(algo: str, beta: Beta, n_lo: int, n_hi: int, jobs: int = 1)
 
 def summability_bound(algo: str, beta: Beta) -> float:
     """Upper bound for the sum of all moments of order beta > 1."""
-    bf = _float_order(_as_beta(beta), "summability")
+    b = _as_beta(beta)
+    bf = _float_order(b, "summability")
     if bf <= 1:
         raise DomainError("summability bounds need beta > 1")
     za = zeta(2.0 * bf)
@@ -616,7 +616,10 @@ def summability_bound(algo: str, beta: Beta) -> float:
     if algo == ALGO_A:
         return (16.0 / 3.0) * za.value * zb.value
     if algo == ALGO_B:
-        return (32.0 / 3.0) * 2.0**bf * za.value * zb.value
+        try:
+            return (32.0 / 3.0) * 2.0**bf * za.value * zb.value
+        except OverflowError:
+            raise DomainError(f"the summability bound for order {b} is beyond the float range") from None
     raise InvalidInputError(f"no summability bound for algorithm {algo!r}")
 
 

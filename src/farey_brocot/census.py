@@ -191,8 +191,8 @@ def degrees_at(algo: str, n: int) -> Dict[Vec, int]:
     every other task's summary is that task's, mapped by the symmetry
     between them.  The degree counts add up in task order, and both
     ends of each distinct rim edge are counted.  Everything runs in this
-    process: ``verify --jobs`` runs the degree checks in pool workers,
-    which cannot start pools of their own.
+    process: ``verify --jobs`` already runs the degree checks in its
+    workers, one check to a worker at a time.
     """
     tasks = _tasks(algo, n)
     plan = _orbit_plan(algo, tasks)

@@ -99,15 +99,19 @@ class Triangle(NamedTuple):
         return Fraction(1, 2 * math.prod(self.denominators()))
 
 
-def distance_sq(p: Point, q: Point) -> Fraction:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
 def diameter_sq(t: Triangle) -> Fraction:
-    """Largest pairwise squared distance among the vertices, exact."""
-    a, b, c = t.points()
-    if a == b or a == c or b == c:
-        raise InvalidInputError("degenerate triangle: duplicate vertices")
-    return max(distance_sq(a, b), distance_sq(a, c), distance_sq(b, c))
+    """Largest pairwise squared distance among the vertices, exact.
+
+    The points x/q and u/r are ((x r - u q)^2 + (y r - v q)^2) / (q r)^2
+    apart, squared; pairs are compared by cross-multiplying those
+    integer ratios, and one Fraction is built for the largest."""
+    a, b, c = t.vertices
+    best_num, best_den = 0, 1
+    for (q, x, y), (r, u, v) in ((a, b), (a, c), (b, c)):
+        num = (x * r - u * q) ** 2 + (y * r - v * q) ** 2
+        if num == 0:
+            raise InvalidInputError("degenerate triangle: duplicate vertices")
+        den = (q * r) ** 2
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return Fraction(best_num, best_den)

@@ -1,10 +1,11 @@
 """Slow, independent definitions that the tests hold the package against.
 
 * Rational plane geometry (``orientation``, ``point_in_triangle``,
-  ``convex_clip``, ``shoelace_area``): the oracle for the integer
-  determinant predicates ``core.coordinates`` and
-  ``verify.disjoint_interiors``, and for the integer area identity of
-  ``verify.scaled_shoelace_area``.
+  ``convex_clip``, ``shoelace_area``, ``diameter_sq_of_points``): the
+  oracle for the integer determinant predicates ``core.coordinates`` and
+  ``verify.disjoint_interiors``, for the integer area identity of
+  ``verify.scaled_shoelace_area``, and for the integer diameters of
+  ``core.diameter_sq``.
 * ``code_a_from_chain``: the run-length code read off a whole chain of
   nested triangles, the oracle for the incremental ``extend_code_a``.
 * ``graph_degrees`` and ``stable_degrees``: degrees measured on the
@@ -109,6 +110,16 @@ def shoelace_area(points: Sequence[Point]) -> Fraction:
         x1, y1 = points[(i + 1) % n]
         acc += x0 * y1 - x1 * y0
     return abs(acc) / 2
+
+
+def diameter_sq_of_points(points: Sequence[Point]) -> Fraction:
+    """Largest pairwise squared distance among rational points, in
+    Fraction arithmetic."""
+    return max(
+        (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+        for i, p in enumerate(points)
+        for q in points[i + 1 :]
+    )
 
 
 def _points(vectors: Sequence[Vec]) -> List[Point]:

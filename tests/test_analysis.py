@@ -716,3 +716,19 @@ def test_orders_at_infinity_nan_or_beyond_the_float_range(fn, args, refusal):
     error, match = refusal
     with pytest.raises(error, match=match):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        pytest.param(summability_bound, ("b", 2000), id="summability_bound"),
+        pytest.param(cumulative_moment_check, ("b", 2000, 3), id="cumulative_moment_check"),
+        pytest.param(main_term, ("b", 3, 2000, 1.0), id="main_term-b"),
+        pytest.param(main_term, ("a", 3, 2000, 1.0), id="main_term-a"),
+        pytest.param(main_term, ("classical", 3, 2000, 1.0), id="main_term-classical"),
+    ],
+)
+def test_results_beyond_the_float_range_at_orders_inside_it(fn, args):
+    # 2.0**2000 overflows; the refusal is the one asymptotic_sweep gives
+    with pytest.raises(DomainError, match="is beyond the float range$"):
+        fn(*args)

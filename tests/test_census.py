@@ -78,7 +78,7 @@ REDUCED_CASES += [("b", 17, 1)]  # CENSUS_DEPTH_CAP
 
 @pytest.mark.parametrize("algo,n,jobs", REDUCED_CASES)
 def test_reduced_graph_matches_the_whole_graph(algo, n, jobs):
-    # At jobs = 2 the map is built in each of two pool workers, where
+    # At jobs = 2 the map is built in each of two forked workers, where
     # ``verify --jobs 2`` runs the degree checks.
     verts, edges = graph_at(algo, n)
     deg = graph_degrees(algo, n)

@@ -460,5 +460,7 @@ def test_import_footprint():
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
     assert not added & {"dataclasses", "inspect", "csv"}
+    # --jobs forks its workers only when it runs them
+    assert not added & {"multiprocessing", "pickle", "select"}
     traced = {"tiling", "census", "analysis", "render", "verify", "cli", "_jobs"}
     assert {f"farey_brocot.{m}" for m in traced} <= added

@@ -13,9 +13,17 @@ from farey_brocot.core import (
     vec_add,
 )
 
+from farey_brocot.tiling import iter_bases
 from farey_brocot.verify import disjoint_interiors
 
-from oracles import clip_disjoint, clip_inside, convex_clip, point_in_triangle, shoelace_area
+from oracles import (
+    clip_disjoint,
+    clip_inside,
+    convex_clip,
+    diameter_sq_of_points,
+    point_in_triangle,
+    shoelace_area,
+)
 
 
 def _mediant(u, v):
@@ -65,6 +73,13 @@ def test_diameter_examples():
     assert diameter_sq(t) == 2
     t = _tri((1, 0, 0), (2, 1, 0), (2, 0, 1))
     assert diameter_sq(t) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("algo, n", [("a", 5), ("b", 10)])
+def test_diameter_matches_the_fraction_oracle(algo, n):
+    for basis, _ in iter_bases(algo, n):
+        t = Triangle(basis)
+        assert diameter_sq(t) == diameter_sq_of_points(t.points())
 
 
 def test_diameter_rejects_duplicates():
