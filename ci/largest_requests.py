@@ -49,6 +49,10 @@ REQUESTS = [
     "moments --algo classical --depth 20 --beta 1 --exact",
     "moments --algo b --depth 22 --beta 1 --exact",
     "moments --algo a --depth 8 --beta 1 --exact",
+    # the largest exact classical order EXACT_BITS_CAP admits at depth 16,
+    # through moments and through classical
+    "moments --algo classical --depth 16 --beta 4 --exact",
+    "classical --depth 16 --beta 4 --exact",
     # the largest censuses CENSUS_DEPTH_CAP admits
     "census --algo a --depth 6",
     "census --algo b --depth 17",
@@ -91,6 +95,11 @@ EQUALITIES = [
         "b/26 order 2: moment equals its --jobs 2 value",
         ("moments --algo b --depth 26 --beta 2", _sigma),
         ("moments --algo b --depth 26 --beta 2 --jobs 2", _sigma),
+    ),
+    (
+        "classical/16 order 4: exact moment equals the classical command's",
+        ("moments --algo classical --depth 16 --beta 4 --exact", _sigma),
+        ("classical --depth 16 --beta 4 --exact", _sigma),
     ),
     (
         "verify a/6: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",

@@ -29,7 +29,9 @@ R = TypeVar("R")
 
 def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], jobs: int = 1) -> List[R]:
     """[fn(t) for t in tasks] on up to `jobs` forked processes, never more
-    than there are tasks or CPUs; in process where `os.fork` is missing."""
+    than there are tasks or CPUs; in process where `os.fork` is missing.
+    Workers inherit `fn` and `tasks` by the fork and pickle only results,
+    so `fn` may be a closure."""
     tasks = list(tasks)
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):

@@ -20,11 +20,12 @@ children of the level above (``tiling.child_columns_b``), and a level
 summed alone comes as blocks of a depth-first walk, so its memory grows
 with depth, not with the level: ``tiling.child_blocks_b`` for float
 sums, and ``tiling.level_blocks_b``, in the level's own order, for
-exact ones.  Classical moments read the row walk
-``tiling.classical_rows``: the float sweep is one Kahan sum per depth
-over that depth's intervals, left to right.  The depth-n row is a
+exact ones.  ``classical_moment`` and ``classical_moment_sweep`` are
+``moment`` and ``moment_sweep`` at ``algo="classical"``, which read the
+row walk ``tiling.classical_rows``: the float sweep is one Kahan sum per
+depth over that depth's intervals, left to right.  The depth-n row is a
 palindrome, so an exact moment merges the left half's terms, in the
-same order, and doubles the sum.  Dirichlet heads read the
+same order, each counted twice.  Dirichlet heads read the
 per-denominator degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
@@ -47,6 +48,7 @@ from .subdivision import ALGO_A, ALGO_B, ALGO_CLASSICAL
 from .tiling import (
     Columns,
     LevelCounts,
+    QTriple,
     child_blocks_b,
     child_columns_b,
     classical_rows,
@@ -235,9 +237,13 @@ def _level_at(algo: str, n: int) -> Iterable[Part]:
     # Level n alone, in the level's own order, in which the pairwise exact
     # sum merges the cells of each subtree first: in process, exact b/22
     # at order 1 took 0.9 s in the order of child_blocks_b, and 0.5 s in
-    # this one.
+    # this one.  A classical cell is an interval of measure 1/(qr),
+    # between neighbouring endpoint denominators q and r.
     if algo == ALGO_B:
         return map(_cells_b, level_blocks_b(n))
+    if algo == ALGO_CLASSICAL:
+        weight, rows = _classical_rows_at(n)
+        return ((map(operator.mul, row, row[1:]), repeat(weight)) for row in rows)
     (parts,) = _levels(algo, n, n)
     return parts
 
@@ -254,11 +260,6 @@ def _level_moment_float(parts: Iterable[Part], beta: float) -> float:
     return fsum(chain.from_iterable(_terms(m, c, beta) for m, c in parts))
 
 
-def _moment_task(args: Tuple[str, Tuple[int, int, int], int, int, int, float]) -> List[float]:
-    algo, triple, count, first, levels, beta = args
-    return [_level_moment_float(parts, beta) for parts in _levels(algo, first, levels, {triple: count})]
-
-
 def _split_depth(algo: str, n: int) -> int:
     return min(n, 3 if algo == ALGO_A else 6)
 
@@ -266,16 +267,21 @@ def _split_depth(algo: str, n: int) -> int:
 def _moments_from(algo: str, lo: int, n: int, beta: Beta, jobs: int = 1) -> List[float]:
     # moment_sweep(algo, n, beta, jobs)[lo:], for 0 <= lo <= n: the levels
     # shallower than lo are stepped but never summed.
-    if algo == ALGO_CLASSICAL:
-        return _classical_moments_from(lo, n, beta)
     _check_moment_args(algo, n, beta)
     bf = float(_as_beta(beta))
+    if algo == ALGO_CLASSICAL:
+        return _classical_moments_from(lo, n, bf)
     split = _split_depth(algo, n)
     prefix = []
     if lo < split:
         prefix = [_level_moment_float(parts, bf) for parts in _levels(algo, lo, split - 1)]
-    tasks = [(algo, t, c, max(lo - split, 0), n - split, bf) for t, c in split_q_states(algo, split)]
-    return prefix + list(map(fsum, zip(*run_tasks(_moment_task, tasks, jobs))))
+    first = max(lo - split, 0)
+
+    def _moment_task(task: Tuple[QTriple, int]) -> List[float]:
+        triple, count = task
+        return [_level_moment_float(parts, bf) for parts in _levels(algo, first, n - split, {triple: count})]
+
+    return prefix + list(map(fsum, zip(*run_tasks(_moment_task, split_q_states(algo, split), jobs))))
 
 
 def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
@@ -287,7 +293,7 @@ def moment_sweep(algo: str, n: int, beta: Beta, jobs: int = 1) -> List[float]:
     ``fsum`` of that depth's terms, and reads no other depth's sum; so
     ``moment``, and ``asymptotic_sweep`` from its lowest depth, sum only
     the depths they return and get the same bits as this sweep.  The
-    classical sweep is ``classical_moment_sweep``, on one worker.
+    classical sweep runs on one worker.
     """
     return _moments_from(algo, 0, n, beta, jobs)
 
@@ -302,8 +308,6 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     ``moment_sweep(algo, n, beta)[n]`` to the bit, since no depth's sum
     in the sweep reads another's.
     """
-    if algo == ALGO_CLASSICAL:
-        return classical_moment(n, beta, exact=exact)
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
     if use_exact:
@@ -349,7 +353,7 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
         if exact:
             raise DomainError("exact mode needs an integer order")
         return False
-    faces = face_count(algo, n) if algo != ALGO_CLASSICAL else 2**n
+    faces = face_count(algo, n)
     cap = EXACT_UNIT_CAP[algo] if b == 1 else EXACT_FACE_CAP
     if faces > cap:
         refusal = f"exact mode for order {b} is capped at {cap} cells; depth {n} has {faces}"
@@ -370,16 +374,18 @@ def exact_mode(algo: str, n: int, beta: Beta, exact: Optional[bool] = None) -> b
 
 
 def classical_moment_sweep(n: int, beta: Beta) -> List[float]:
-    """Floating classical moments for depths 0..n, one Kahan sum per depth
-    over that depth's intervals, left to right."""
-    return _classical_moments_from(0, n, beta)
+    """``moment_sweep`` of the classical interval partition."""
+    return moment_sweep(ALGO_CLASSICAL, n, beta)
 
 
-def _classical_moments_from(lo: int, n: int, beta: Beta) -> List[float]:
-    # classical_moment_sweep(n, beta)[lo:]: the rows shallower than lo are
-    # refined but not summed, and each depth's Kahan sum is its own.
-    _check_moment_args(ALGO_CLASSICAL, n, beta)
-    bf = float(_as_beta(beta))
+def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> MomentValue:
+    """``moment`` of the classical interval partition."""
+    return moment(ALGO_CLASSICAL, n, beta, exact)
+
+
+def _classical_moments_from(lo: int, n: int, bf: float) -> List[float]:
+    # moment_sweep("classical", n, bf)[lo:]: the rows shallower than lo
+    # are refined but not summed, and each depth's Kahan sum is its own.
     sums = [0.0] * (n + 1 - lo)
     comps = [0.0] * (n + 1 - lo)
     for d, (row,) in classical_rows(n, ([1, 1],)):
@@ -408,19 +414,6 @@ def _classical_rows_at(n: int) -> Tuple[int, Iterator[List[int]]]:
     if n == 0:
         return 1, iter([[1, 1]])
     return 2, (row for d, (row,) in classical_rows(n - 1, ([1, 2],)) if d == n - 1)
-
-
-def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> MomentValue:
-    """Moment of order beta of the classical depth-n interval partition."""
-    use_exact = exact_mode(ALGO_CLASSICAL, n, beta, exact)
-    b = _as_beta(beta)
-    if use_exact:
-        e = int(b)
-        weight, rows = _classical_rows_at(n)
-        products = (x for row in rows for x in map(operator.mul, row, row[1:]))
-        value = weight * exact_sum((1, x**e) for x in products)
-        return MomentValue(ALGO_CLASSICAL, n, b, value, True)
-    return MomentValue(ALGO_CLASSICAL, n, b, _classical_moments_from(n, n, b)[0], False)
 
 
 def exact_unit_sum(algo: str, n: int) -> Fraction:

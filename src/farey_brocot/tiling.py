@@ -42,6 +42,7 @@ from .core import (
 )
 from .subdivision import (
     ALGO_A,
+    ALGO_CLASSICAL,
     child_rule,
     child_vectors_a,
     child_vectors_b,
@@ -82,13 +83,10 @@ def descend(roots: Sequence[Node], expand: Callable[[Node, int], Sequence[Node]]
             stack.pop()
 
 
-def branching(algo: str) -> int:
-    return 6 if algo == ALGO_A else 2
-
-
 def face_count(algo: str, n: int) -> int:
-    """Number of triangles in the depth-n tiling."""
-    return 2 * branching(algo) ** n
+    """Number of cells in the depth-n tiling: triangles, or the intervals
+    of the classical partition."""
+    return 2**n if algo == ALGO_CLASSICAL else 2 * (6 if algo == ALGO_A else 2) ** n
 
 
 def iter_bases(algo: str, n: int) -> Iterator[Tuple[RawBasis, int]]:

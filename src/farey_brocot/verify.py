@@ -529,11 +529,6 @@ CHECKS: Dict[str, Callable[[str, int], CheckReport]] = {c.name: c for c in (
 )}
 
 
-def _check_task(args: Tuple[str, int, str]) -> CheckReport:
-    algo, limit, name = args
-    return CHECKS[name](algo, limit)
-
-
 def run_checks(
     algo: str,
     depth_limit: int,
@@ -559,5 +554,8 @@ def run_checks(
             raise InvalidInputError(f"unknown checks: {', '.join(sorted(unknown))}")
         if not selected:
             raise InvalidInputError("the check selection names no check")
-    tasks = [(algo, depth_limit, nm) for nm in CHECKS if nm in selected]
-    return run_tasks(_check_task, tasks, jobs)
+
+    def _check_task(name: str) -> CheckReport:
+        return CHECKS[name](algo, depth_limit)
+
+    return run_tasks(_check_task, [nm for nm in CHECKS if nm in selected], jobs)

@@ -22,6 +22,7 @@ from farey_brocot.census import degree_counts, stable_degree_table
 from farey_brocot.tiling import (
     LOCATE_DEPTH_CAP,
     ROW_SPLIT,
+    child_blocks_b,
     iter_triangles,
     level_columns_b,
     level_q_counts,
@@ -189,6 +190,7 @@ def test_exact_classical_moments_equal_per_interval_sums():
     for n in range(17):
         direct = _per_cell_moments([v - u for u, v in intervals_by_descent(n)])
         assert [classical_moment(n, e, exact=True).value for e in range(1, 5)] == direct
+        assert [moment("classical", n, e, exact=True).value for e in range(1, 5)] == direct
 
 
 # the benchmark's beta sweep, orders 1-3 and two orders whose terms underflow
@@ -335,7 +337,7 @@ def test_unordered_rule_b_task_raises():
     # the column engine checks its start triples before any work
     for triple in ((3, 1, 1), (1, 2, 1), (2, 1, 2)):
         with pytest.raises(InvariantViolationError):
-            analysis._moment_task(("b", triple, 1, 0, 20, 2.0))
+            child_blocks_b(20, {triple: 1})
 
 
 def test_exact_unit_sum_all_lanes():

@@ -37,6 +37,8 @@ def test_enumerate_counts_and_unit_area():
         tris = list(iter_triangles(algo, n))
         assert len(tris) == count == face_count(algo, n)
         assert sum(t.area() for t in tris) == 1
+    for n in range(8):
+        assert face_count("classical", n) == 2**n == len(list(iter_intervals(n)))
 
 
 def test_enumerate_visits_each_once():
