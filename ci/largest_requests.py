@@ -38,6 +38,7 @@ REQUESTS = [
     "verify --algo classical --depth 20",
     # the deepest float sweeps the moment cap admits, alone and under asym
     "classical --depth 22 --beta 2",
+    "moments --algo classical --depth 22 --beta 2",
     "moments --algo classical --depth 22 --beta 3/2",
     "asym --algo classical --beta 3/2 --n 2..22",
     "moments --algo b --depth 26 --beta 2",
@@ -81,6 +82,11 @@ def _apart_from_time_and_jobs(record):
 # A moment sums its own depth alone, so it equals that depth's row of the
 # sweep, and every payload is byte-identical for any --jobs.
 EQUALITIES = [
+    (
+        "classical/22 order 2: moment equals the classical command's",
+        ("moments --algo classical --depth 22 --beta 2", _sigma),
+        ("classical --depth 22 --beta 2", _sigma),
+    ),
     (
         "classical/22 order 3/2: moment equals the asym row",
         ("moments --algo classical --depth 22 --beta 3/2", _sigma),

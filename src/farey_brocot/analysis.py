@@ -22,11 +22,11 @@ with depth, not with the level: ``tiling.child_blocks_b`` for float
 sums, and ``tiling.level_blocks_b``, in the level's own order, for
 exact ones.  ``classical_moment`` and ``classical_moment_sweep`` are
 ``moment`` and ``moment_sweep`` at ``algo="classical"``, which read the
-row walk ``tiling.classical_rows``: the float sweep is one Kahan sum per
-depth over that depth's intervals, left to right.  The depth-n row is a
-palindrome, so an exact moment merges the left half's terms, in the
-same order, each counted twice.  Dirichlet heads read the
-per-denominator degree counts of ``census.degree_counts``.
+row walk ``tiling.classical_rows`` one depth at a time.  The depth-n
+row is a palindrome, so both sums read the left half's intervals alone,
+each counted twice: a doubled float term is exact, so the ``fsum`` is
+the correctly rounded sum of the whole row's terms.  Dirichlet heads
+read the per-denominator degree counts of ``census.degree_counts``.
 
 Every truncated series comes back as a SeriesValue carrying a rigorous
 tail bound: the true value lies in [value, value + tail_bound].
@@ -78,11 +78,12 @@ EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # b/26 takes 2.8-3.4 s in 17 MiB, walking its last levels in blocks, and
 # asym's sweep from depth 2 to 26, which holds each task's levels to
 # depth 25 whole, 5.5-6.9 s in 78 MiB, within the Dirichlet heads' ~7 s
-# and 165 MiB budget.  A
-# classical moment sums the 2^n intervals of its depth, 1.2-1.7 s at depth
-# 22 in 17 MiB; a sweep from depth 0 sums all 2^(n+1) - 1, about doubling
-# per level, 1.8-2.9 s at depth 22.  Depth 23 would fit too, but raising
-# a cap would admit requests that have been refused so far.
+# and 165 MiB budget.  A classical moment sums the 2^(n-1) intervals of
+# its row's left half, each counted twice, 0.5-0.8 s at depth 22 in
+# 17 MiB; asym's sweep from depth 2 walks each depth's half row anew,
+# about doubling per level, 1.1-1.8 s at depth 22.  Depth 23 would fit
+# too, but raising a cap would admit requests that have been refused so
+# far.
 MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 # An exact moment of order e >= 2 has a denominator dividing L^e, where L
 # is the lcm of the depth-n cells' measure denominators (2pqr, or qr for
@@ -270,7 +271,7 @@ def _moments_from(algo: str, lo: int, n: int, beta: Beta, jobs: int = 1) -> List
     _check_moment_args(algo, n, beta)
     bf = float(_as_beta(beta))
     if algo == ALGO_CLASSICAL:
-        return _classical_moments_from(lo, n, bf)
+        return [_level_moment_float(_level_at(algo, d), bf) for d in range(lo, n + 1)]
     split = _split_depth(algo, n)
     prefix = []
     if lo < split:
@@ -303,10 +304,10 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
 
     Exact-rational mode runs when beta is a positive integer and the
     tiling fits the exact budget for its order (see ``exact_mode``).
-    Otherwise the value is a compensated floating sum in canonical
-    order.  Either way only depth n is summed; the float value is
-    ``moment_sweep(algo, n, beta)[n]`` to the bit, since no depth's sum
-    in the sweep reads another's.
+    Otherwise the value is the ``fsum`` of the depth's float terms,
+    which is correctly rounded.  Either way only depth n is summed; the
+    float value is ``moment_sweep(algo, n, beta)[n]`` to the bit, since
+    no depth's sum in the sweep reads another's.
     """
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)
@@ -383,29 +384,6 @@ def classical_moment(n: int, beta: Beta, exact: Optional[bool] = None) -> Moment
     return moment(ALGO_CLASSICAL, n, beta, exact)
 
 
-def _classical_moments_from(lo: int, n: int, bf: float) -> List[float]:
-    # moment_sweep("classical", n, bf)[lo:]: the rows shallower than lo
-    # are refined but not summed, and each depth's Kahan sum is its own.
-    sums = [0.0] * (n + 1 - lo)
-    comps = [0.0] * (n + 1 - lo)
-    for d, (row,) in classical_rows(n, ([1, 1],)):
-        if d < lo:
-            continue
-        products = map(operator.mul, row, row[1:])
-        if bf == 2.0:
-            terms = [1.0 / float(x * x) for x in products]
-        else:
-            terms = [float(x) ** -bf for x in products]
-        s, c = sums[d - lo], comps[d - lo]
-        for term in terms:  # the Kahan step
-            y = term - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        sums[d - lo], comps[d - lo] = s, c
-    return sums
-
-
 def _classical_rows_at(n: int) -> Tuple[int, Iterator[List[int]]]:
     # (weight, rows): the depth-n endpoint denominators as blocks of
     # neighbouring endpoints, left to right.  x -> 1 - x keeps every
@@ -413,7 +391,7 @@ def _classical_rows_at(n: int) -> Tuple[int, Iterator[List[int]]]:
     # half, the refinement of [0, 1/2], is walked alone and counts twice.
     if n == 0:
         return 1, iter([[1, 1]])
-    return 2, (row for d, (row,) in classical_rows(n - 1, ([1, 2],)) if d == n - 1)
+    return 2, (row for (row,) in classical_rows(n - 1, ([1, 2],)))
 
 
 def exact_unit_sum(algo: str, n: int) -> Fraction:

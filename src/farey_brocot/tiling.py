@@ -18,8 +18,8 @@ lists, with no dict, for the moments, and ``level_blocks_b`` and
 ``child_blocks_b`` walk one deep level as blocks of those lists, depth
 first.  The dict engine stays the
 independent one that the verify checks read.  The classical partition
-has one walk, ``classical_rows``, which every classical enumeration
-reads.
+has one walk, ``classical_rows``, which yields one depth as rows of
+endpoints, left to right, and which every classical enumeration reads.
 """
 
 from __future__ import annotations
@@ -63,12 +63,9 @@ def descend(roots: Sequence[Node], expand: Callable[[Node, int], Sequence[Node]]
 
     ``expand(node, depth)`` is called once per node, after the node is
     yielded, and returns the children to walk or an empty tuple to stop.
-    Every enumeration whose order can show in a result goes through
-    here, so this one routine fixes the canonical order that SVG bytes,
-    compensated sums and parallel task lists depend on.  The one
-    exception is the classical partition, which ``classical_rows`` builds
-    as rows of endpoints: a pre-order walk meets each depth's nodes left
-    to right, and so do the rows, so every per-depth order is the same.
+    Every 2-d enumeration whose order can show in a result goes through
+    here, so this one routine fixes the canonical order that SVG bytes
+    and parallel task lists depend on.
     """
     stack = [(iter(roots), 0)]
     while stack:
@@ -148,27 +145,25 @@ def iter_triangles(algo: str, n: int) -> Iterator[Triangle]:
 ROW_SPLIT = 12
 
 
-def classical_rows(n: int, rows: Tuple[List[int], ...]) -> Iterator[Tuple[int, Tuple[List[int], ...]]]:
-    """The classical partition to depth n as rows of endpoint coordinates.
+def classical_rows(n: int, rows: Tuple[List[int], ...]) -> Iterator[Tuple[List[int], ...]]:
+    """The depth-n classical partition as rows of endpoint coordinates.
 
     ``rows`` holds one depth-0 row per coordinate, such as numerators
-    ``[0, 1]`` and denominators ``[1, 1]``.  Yields (depth, rows) for
-    every depth 0..n; a depth comes as blocks of neighbouring intervals,
-    left to right, and each block's last endpoint starts the next.
-    Blocks are aligned from the bottom: the walk to depth n - ROW_SPLIT
-    runs first, and each interval at its last depth is refined on its
-    own through the last ROW_SPLIT levels.  So no row is longer than
-    2^ROW_SPLIT + 1, and the walk streams at any depth.
+    ``[0, 1]`` and denominators ``[1, 1]``.  Yields depth n alone, as
+    blocks of neighbouring intervals, left to right, and each block's
+    last endpoint starts the next.  Blocks are aligned from the bottom:
+    the walk to depth n - ROW_SPLIT runs first, and each of its
+    intervals is refined on its own through the last ROW_SPLIT levels.
+    So no row is longer than 2^ROW_SPLIT + 1, and the walk streams at
+    any depth.
     """
     top = max(0, n - ROW_SPLIT)
-    for d, block in classical_rows(top, rows) if top else [(0, rows)]:
-        yield d, block
-        if d == top:
-            for i in range(len(block[0]) - 1):
-                sub = tuple(row[i : i + 2] for row in block)
-                for k in range(top + 1, n + 1):
-                    sub = tuple(map(refine_row, sub))
-                    yield k, sub
+    for block in classical_rows(top, rows) if top else [rows]:
+        for i in range(len(block[0]) - 1):
+            sub = tuple(row[i : i + 2] for row in block)
+            for _ in range(top, n):
+                sub = tuple(map(refine_row, sub))
+            yield sub
 
 
 def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
@@ -176,9 +171,8 @@ def iter_intervals(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
     right, as (endpoint, endpoint) pairs."""
     if n < 0:
         raise InvalidInputError("depth must be nonnegative")
-    for d, (nums, dens) in classical_rows(n, ([0, 1], [1, 1])):
-        if d == n:
-            yield from pairwise(map(Fraction, nums, dens))
+    for nums, dens in classical_rows(n, ([0, 1], [1, 1])):
+        yield from pairwise(map(Fraction, nums, dens))
 
 
 def brocot_level(n: int) -> List[Fraction]:

@@ -19,9 +19,10 @@
   it, the oracle for ``tiling.classical_rows`` and every reader of it
   (``iter_intervals``, ``brocot_level``, exact classical moments and
   their size bound).
-* ``classical_moment_sweep_by_descent``: the classical float moments
-  summed in a pre-order walk of the intervals, the oracle for the row
-  sweep of ``analysis.classical_moment_sweep``.
+* ``classical_terms_by_descent`` and ``classical_moment_sweep_by_descent``:
+  the classical float terms of a pre-order walk of the intervals, and
+  their ``fsum`` per depth, the oracle for the half-row sums of
+  ``analysis.classical_moment_sweep``.
 * ``moment_sweeps_by_dicts`` and ``exact_moment_by_dicts``: 2-d moments
   summed over the dict levels of ``tiling.level_q_counts``, the oracle
   for the rule-b column engine ``tiling.level_columns_b``, its block
@@ -238,21 +239,23 @@ def intervals_by_descent(n: int) -> Iterator[Tuple[Fraction, Fraction]]:
             yield Fraction(*u), Fraction(*v)
 
 
-def classical_moment_sweep_by_descent(n: int, beta) -> List[float]:
-    """Floating classical moments for depths 0..n: one Kahan sum per depth,
-    fed in the order a pre-order walk of the intervals visits them."""
+def classical_terms_by_descent(n: int, beta) -> List[List[float]]:
+    """The float terms of the classical moments for depths 0..n, one list
+    per depth, from a pre-order walk of the intervals: each interval of
+    measure 1/x contributes x^-beta."""
     bf = float(Fraction(beta))
-    sums = [0.0] * (n + 1)
-    comps = [0.0] * (n + 1)
+    terms: List[List[float]] = [[] for _ in range(n + 1)]
     walk = descend(((1, 1),), lambda iv, d: child_intervals(*iv, operator.add) if d < n else ())
     for (q, r), d in walk:
         x = q * r
-        term = float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x)
-        y = term - comps[d]
-        t = sums[d] + y
-        comps[d] = (t - sums[d]) - y
-        sums[d] = t
-    return sums
+        terms[d].append(float(x) ** -bf if bf != 2.0 else 1.0 / float(x * x))
+    return terms
+
+
+def classical_moment_sweep_by_descent(n: int, beta) -> List[float]:
+    """Floating classical moments for depths 0..n: the ``fsum`` of each
+    depth's terms from ``classical_terms_by_descent``."""
+    return list(map(fsum, classical_terms_by_descent(n, beta)))
 
 
 # --- 2-d moments over the dict levels ----------------------------------------

@@ -13,6 +13,7 @@ import farey_brocot.analysis as analysis
 import farey_brocot.tiling as tiling
 from oracles import (
     classical_moment_sweep_by_descent,
+    classical_terms_by_descent,
     exact_moment_by_dicts,
     intervals_by_descent,
     moment_sweeps_by_dicts,
@@ -155,11 +156,14 @@ def test_classical_cumulative_check_refused_before_the_sweep():
 # orders 1-3 and the benchmark's beta sweep
 @pytest.mark.parametrize("beta", ["1", "2", "3", "3/2", "5/4", "7/4", "9/4", "5/2", "11/4", "13/4", "7/2"])
 def test_classical_sweep_equals_the_descent(beta):
-    # Depths 0-16 cover rows split at depth 0 and at depths 1-4 below it.
+    # Depths 0-16 cover half rows split at depth 0 and at depths 1-3 below it.
     b = Fraction(beta)
     oracle = classical_moment_sweep_by_descent(16, b)
     for n in range(17):
         assert classical_moment_sweep(n, b) == oracle[: n + 1]
+    # each depth's value is its terms' exact sum, rounded once
+    rounded = [float(sum(map(Fraction, terms), Fraction(0))) for terms in classical_terms_by_descent(12, b)]
+    assert classical_moment_sweep(12, b) == rounded
     assert classical_moment(14, b, exact=False).value == oracle[14]
     if b >= Fraction(3, 2):  # below, asym refuses or zeta(2 beta - 1) is capped
         rows = asymptotic_sweep("classical", b, 2, 14)

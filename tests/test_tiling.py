@@ -295,19 +295,16 @@ def test_iter_intervals_is_lazy():
 
 @pytest.mark.parametrize("split,depths", [(2, range(9)), (ROW_SPLIT, range(ROW_SPLIT - 1, ROW_SPLIT + 3))])
 def test_classical_rows_are_bounded_blocks_in_order(monkeypatch, split, depths):
-    # At split 2, depths 3-8 recurse once to three times.  Each depth's
-    # blocks join end to end into the whole level, left to right.
+    # At split 2, depths 3-8 recurse once to three times.  The blocks of
+    # depth n join end to end into the whole level, left to right.
     monkeypatch.setattr(tiling, "ROW_SPLIT", split)
     for n in depths:
-        levels = {}
-        for d, (nums, dens) in classical_rows(n, ([0, 1], [1, 1])):
+        level = [Fraction(0)]
+        for nums, dens in classical_rows(n, ([0, 1], [1, 1])):
             assert len(dens) == len(nums) <= 2**split + 1
-            level = levels.setdefault(d, [Fraction(0)])
             assert Fraction(nums[0], dens[0]) == level[-1]
             level.extend(map(Fraction, nums[1:], dens[1:]))
-        assert sorted(levels) == list(range(n + 1))
-        for d, level in levels.items():
-            assert level == [Fraction(0)] + [v for _, v in intervals_by_descent(d)]
+        assert level == [Fraction(0)] + [v for _, v in intervals_by_descent(n)]
 
 
 def test_mediant_additive_on_basis_pairs():
