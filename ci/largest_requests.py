@@ -56,6 +56,7 @@ REQUESTS = [
     "classical --depth 16 --beta 4 --exact",
     # the largest censuses CENSUS_DEPTH_CAP admits
     "census --algo a --depth 6",
+    "census --algo a --depth 6 --jobs 2",
     "census --algo b --depth 17",
     "census --algo b --depth 17 --jobs 2",
     # the Dirichlet head at qmax 1024, the largest-memory request admitted
@@ -116,6 +117,11 @@ EQUALITIES = [
         "verify b/16: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",
         ("verify --algo b --depth 16", _apart_from_time_and_jobs),
         ("verify --algo b --depth 16 --jobs 2", _apart_from_time_and_jobs),
+    ),
+    (
+        "census a/6: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",
+        ("census --algo a --depth 6", _apart_from_time_and_jobs),
+        ("census --algo a --depth 6 --jobs 2", _apart_from_time_and_jobs),
     ),
     (
         "census b/17: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",

@@ -7,10 +7,14 @@ sums are merged pairwise, as a balanced tree.
 Float sums are ``math.fsum`` over a level's terms, whose result is
 correctly rounded and so independent of the order of the terms, merged
 over a fixed task decomposition, so results are independent of worker
-count and bit-identical across runs.  A float moment at one depth, or
-from one depth on, sums only the depths it returns: the shallower
-levels are stepped, since the deeper ones grow from them, but not
-reduced.  Each depth's sum reads no other depth's, so it has the bits
+count and bit-identical across runs.  A 2-d float moment is therefore
+correctly rounded only up to the task split depth (3 for rule a, 6 for
+rule b); past it, it is the ``fsum`` of per-task ``fsum``s, rounded
+twice, and can sit one ulp from the correctly rounded sum.  The
+classical moment is one ``fsum`` per depth, correctly rounded at every
+depth.  A float moment at one depth, or from one depth on, sums only
+the depths it returns: the shallower levels are stepped, since the
+deeper ones grow from them, but not reduced.  Each depth's sum reads no other depth's, so it has the bits
 of the same depth in the full sweep.  2-d moments read each level's
 cell measures and counts: rule a's from the dicts of
 ``tiling.level_q_counts``, which must merge the children of different
@@ -305,9 +309,12 @@ def moment(algo: str, n: int, beta: Beta, exact: Optional[bool] = None, jobs: in
     Exact-rational mode runs when beta is a positive integer and the
     tiling fits the exact budget for its order (see ``exact_mode``).
     Otherwise the value is the ``fsum`` of the depth's float terms,
-    which is correctly rounded.  Either way only depth n is summed; the
-    float value is ``moment_sweep(algo, n, beta)[n]`` to the bit, since
-    no depth's sum in the sweep reads another's.
+    correctly rounded at every classical depth and, for rules a and b,
+    up to the task split depth (3 and 6); past it, it is the ``fsum`` of
+    per-task ``fsum``s, which can sit one ulp from the correctly rounded
+    sum.  Either way only depth n is summed; the float value is
+    ``moment_sweep(algo, n, beta)[n]`` to the bit, since no depth's sum
+    in the sweep reads another's.
     """
     use_exact = exact_mode(algo, n, beta, exact)
     b = _as_beta(beta)

@@ -1,21 +1,26 @@
 """Triangulation graph censuses and stable vertex degrees.
 
 The graph of a depth-n tiling has the step-n basis vectors as vertices
-and an edge wherever two vectors share a step-n basis.  Edges, vertices
-and degrees are measured from the actual graph; the face count is the
-closed form ``face_count``, and ``expected_counts`` gives closed forms
+and an edge wherever two vectors share a step-n basis.  ``census`` takes
+each number from one source: the vertex and edge counts from the whole
+graph, built by ``graph_at``; the degree histogram from the degree map
+of ``degrees_at``; the face count from the closed form ``face_count``.
+The map must have one key per graph vertex and twice as many edge ends
+as the graph has edges, so every census checks two independent
+reductions against each other.  ``expected_counts`` gives closed forms
 for all three counts so the measured ones can be compared.
 
 The graph is built in subtrees, one task per triangle at a fixed split
-depth.  ``graph_at`` unions their edge sets, in one process, into the
-graph ``census`` counts.  ``degrees_at`` has each task reduce its own
+depth.  ``graph_at`` unions their edge sets, in one process; ``census``
+builds the graph only to count it, since the benchmark's tracer reads
+the graph size there.  ``degrees_at`` has each task reduce its own
 edges: an edge two of its leaves own is counted at both ends there, and
 the rest, the rim, the sole edges two tasks can share, is returned as a
 set.  It runs one task per orbit of the square's symmetries that keep
 the roots (the point reflection, the transpose and their product), 20
 of 72 for algorithm A and 8 of 32 for algorithm B, and maps that task's
-summary onto the rest of its orbit; the tests compare the result
-against ``graph_at``.  ``Census.of_degrees`` counts a degree map.
+summary onto the rest of its orbit.  ``Census.of_degrees`` counts a
+degree map.
 
 Degrees stabilize once a vertex exists (algorithm A) or one step after
 it appears (algorithm B), and the stable degree is fixed by how the
@@ -36,13 +41,15 @@ from collections import Counter
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from .core import CapacityError, InvalidInputError, Vec
+from .core import CapacityError, InvalidInputError, InvariantViolationError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
 from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
 
-# One to five CLI runs each at --jobs 1 or 2 (2 CPUs, CPython 3.11): a/6
-# takes 0.3-0.4 s and 38 MiB, b/17 1.0-1.6 s and 82 MiB, a/7 2.0-2.9 s and
-# 148 MiB, b/18 2.5-3.2 s and 149 MiB; a/7 and b/18 stay refused, within
+# Medians of nine CLI runs each at --jobs 1 and 2 (2 CPUs, CPython 3.11):
+# a/6 takes 0.28-0.30 s and 35 MiB, b/17 0.84-0.85 s and 78 MiB.  The peak
+# is the graph's, counted and freed before the degree map is built, so
+# a/7 (2.0-2.9 s and 148 MiB) and b/18 (2.5-3.2 s and 149 MiB), measured
+# while the histogram still came from the graph, stay refused, within
 # 10 % of the ~165 MiB the other caps keep.  ``degrees_at`` shares the cap;
 # running one task per symmetry orbit, it takes 0.07-0.11 s and 22.5 MiB
 # at a/6 and 0.26-0.34 s and 31.3 MiB at b/17.
@@ -211,11 +218,19 @@ def degrees_at(algo: str, n: int) -> Dict[Vec, int]:
 def census(algo: str, n: int) -> Census:
     """Measured edge and vertex counts and degree histogram, with the
     closed-form face count."""
-    # Counted from the whole graph, not the rim reduction: the benchmark's
-    # tracer (perfbench/tracer.py) reads the graph size off graph_at.  Only
-    # the edges are kept, so the vertex set is freed before the count.
-    edges = graph_at(algo, n)[1]
-    return Census.of_degrees(algo, n, Counter(chain.from_iterable(edges)))
+    # The counts come from the whole graph, the histogram from the orbit-
+    # reduced degree map, and each is checked against the other.  The graph
+    # stays only because the benchmark's tracer (perfbench/tracer.py) reads
+    # the graph size off graph_at; it is counted and freed before the map
+    # is built, so the peak is the graph's alone.
+    v, r = map(len, graph_at(algo, n))
+    deg = degrees_at(algo, n)
+    if len(deg) != v or sum(deg.values()) != 2 * r:
+        raise InvariantViolationError(
+            f"degree map of {algo}/{n} has {len(deg)} vertices and {sum(deg.values())} edge ends; "
+            f"the graph has {v} vertices and {r} edges"
+        )
+    return Census.of_degrees(algo, n, deg)
 
 
 def expected_counts(algo: str, n: int) -> Tuple[int, int, int]:

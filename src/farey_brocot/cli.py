@@ -225,7 +225,8 @@ def _do_classical(args) -> Tuple[Dict, Dict, Dict]:
     result: Dict = {"sigma": str(sigma) if exact else sigma, "exact": exact}
     prov: Dict = {"arithmetic": "exact" if exact else "compensated-float"}
     if row is not None:
-        result.update(main_term=row.main_term, ratio=row.ratio, L_value=row.L_value)
+        # the ratio of the sigma printed: an exact sigma is rounded once, here
+        result.update(main_term=row.main_term, ratio=float(sigma) / row.main_term, L_value=row.L_value)
         prov["L_tail_bound"] = row.L_tail_bound
     params = {"depth": args.depth, "beta": str(beta), "exact": bool(args.exact)}
     return result, params, prov

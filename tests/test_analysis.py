@@ -4,6 +4,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 
 import mpmath
 import pytest
@@ -299,6 +300,29 @@ def test_one_depth_classical_moment_equals_the_sweep(beta):
     top = 22 if beta in ("2", "3/2") else 18
     sweep = [x.hex() for x in classical_moment_sweep(top, b)]
     assert [classical_moment(n, b, exact=False).value.hex() for n in range(top + 1)] == sweep
+
+
+def _correctly_rounded(algo, n, beta):
+    # the one rounding of the exact sum of the depth's own float terms
+    bf = float(beta)
+    terms = chain.from_iterable(analysis._terms(m, c, bf) for m, c in analysis._level_at(algo, n))
+    return float(sum(map(Fraction, terms)))
+
+
+@pytest.mark.parametrize("beta", ONE_DEPTH_ORDERS)
+def test_float_moment_is_correctly_rounded_up_to_the_split_depth(beta):
+    b = Fraction(beta)
+    for algo, split in (("a", 3), ("b", 6)):
+        for n in range(split + 1):
+            assert moment(algo, n, b, exact=False).value == _correctly_rounded(algo, n, b)
+
+
+def test_float_moment_past_the_split_depth_is_rounded_twice():
+    # b/13 at order 9/4 is the fsum of per-task fsums, one ulp below the
+    # correctly rounded sum; an exact merge of the tasks would flip this.
+    b = Fraction(9, 4)
+    assert moment("b", 13, b).value == float.fromhex("0x1.e23a65602ace5p-13")
+    assert _correctly_rounded("b", 13, b) == float.fromhex("0x1.e23a65602ace6p-13")
 
 
 @pytest.mark.parametrize("beta", ONE_DEPTH_ORDERS)

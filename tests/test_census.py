@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from farey_brocot._jobs import run_tasks
-from farey_brocot.core import CapacityError, InvalidInputError
+from farey_brocot.core import CapacityError, InvalidInputError, InvariantViolationError
 from farey_brocot.subdivision import child_rule
 from farey_brocot.census import (
     _SYMMETRIES,
@@ -117,6 +117,42 @@ def test_census_holds_its_graph_once():
     finally:
         tracemalloc.stop()
     assert peak < 1.4 * size
+
+
+def _drop_one_vertex(deg):
+    del deg[min(deg)]
+    return deg
+
+
+def _add_one_edge_end(deg):
+    deg[min(deg)] += 1
+    return deg
+
+
+@pytest.mark.parametrize("spoil", [_drop_one_vertex, _add_one_edge_end])
+def test_census_checks_the_degree_map_against_the_graph(monkeypatch, spoil):
+    module = importlib.import_module("farey_brocot.census")
+    monkeypatch.setattr(module, "degrees_at", lambda algo, n: spoil(degrees_at(algo, n)))
+    with pytest.raises(InvariantViolationError):
+        census("b", 6)
+
+
+def test_census_builds_one_graph_and_one_degree_map(monkeypatch):
+    module = importlib.import_module("farey_brocot.census")
+    calls = Counter()
+
+    def counted(fn):
+        def call(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(module, "graph_at", counted(graph_at))
+    monkeypatch.setattr(module, "degrees_at", counted(degrees_at))
+    c = census("a", 3)
+    assert calls == {"graph_at": 1, "degrees_at": 1}
+    assert (c.faces, c.edges, c.vertices) == expected_counts("a", 3)
+    assert c.degree_histogram == expected_degree_histogram_a(3)
 
 
 def _leaf_owners(algo, root, levels):

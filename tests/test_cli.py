@@ -327,6 +327,13 @@ def test_classical_subcommand():
     assert result["ratio"] > 0
 
 
+def test_classical_exact_ratio_is_the_printed_sigmas():
+    # the float sweep's sigma gives 0.8709712262151059, an ulp off
+    result = payload(run_cli("classical", "--depth", "6", "--beta", "2", "--exact"))["result"]
+    assert result["ratio"] == float(Fraction(result["sigma"])) / result["main_term"]
+    assert result["ratio"] == 0.870971226215106
+
+
 def test_classical_float_sigma_is_the_moment():
     from farey_brocot.analysis import classical_moment
 
