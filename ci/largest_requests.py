@@ -50,8 +50,10 @@ REQUESTS = [
     "moments --algo classical --depth 20 --beta 1 --exact",
     "moments --algo b --depth 22 --beta 1 --exact",
     "moments --algo a --depth 8 --beta 1 --exact",
-    # the largest exact classical order EXACT_BITS_CAP admits at depth 16,
-    # through moments and through classical
+    # the largest exact orders EXACT_BITS_CAP admits: a/6, b/15, and
+    # classical/16 through moments and through classical
+    "moments --algo a --depth 6 --beta 33 --exact",
+    "moments --algo b --depth 15 --beta 82 --exact",
     "moments --algo classical --depth 16 --beta 4 --exact",
     "classical --depth 16 --beta 4 --exact",
     # the largest censuses CENSUS_DEPTH_CAP admits
@@ -74,6 +76,11 @@ def _row(n):
     return lambda record: next((row["sigma"] for row in record["result"]["rows"] if row["n"] == n), None)
 
 
+def _one(record):
+    # the sigma if it is exactly 1, else None, which no equality accepts
+    return "1" if _sigma(record) == "1" else None
+
+
 def _apart_from_time_and_jobs(record):
     params = {k: v for k, v in record["parameters"].items() if k != "jobs"}
     return {**record, "parameters": params, "wall_time_s": None}
@@ -81,7 +88,9 @@ def _apart_from_time_and_jobs(record):
 
 # (claim, (request, what of its record), (request, what of its record)).
 # A moment sums its own depth alone, so it equals that depth's row of the
-# sweep, and every payload is byte-identical for any --jobs.
+# sweep, and every payload is byte-identical for any --jobs.  The cells
+# of a depth tile the unit square or interval, so an exact order-1
+# moment is 1.  A side that reads None fails the claim.
 EQUALITIES = [
     (
         "classical/22 order 2: moment equals the classical command's",
@@ -107,6 +116,11 @@ EQUALITIES = [
         "classical/16 order 4: exact moment equals the classical command's",
         ("moments --algo classical --depth 16 --beta 4 --exact", _sigma),
         ("classical --depth 16 --beta 4 --exact", _sigma),
+    ),
+    (
+        "exact order 1: b/22 and classical/20 both print sigma 1",
+        ("moments --algo b --depth 22 --beta 1 --exact", _one),
+        ("moments --algo classical --depth 20 --beta 1 --exact", _one),
     ),
     (
         "verify a/6: records equal at --jobs 1 and 2 apart from wall_time_s and jobs",
@@ -160,7 +174,10 @@ def main() -> int:
             print(line, flush=True)
             failed |= not records[request]
     for claim, (left, read_left), (right, read_right) in EQUALITIES:
-        same = bool(records[left] and records[right]) and read_left(records[left]) == read_right(records[right])
+        same = bool(records[left] and records[right])
+        if same:
+            value = read_left(records[left])
+            same = value is not None and value == read_right(records[right])
         print(f"{claim}: {same}")
         failed |= not same
     return int(failed)

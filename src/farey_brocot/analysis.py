@@ -21,10 +21,9 @@ cell measures and counts: rule a's from the dicts of
 parents, and rule b's from column lists, which need no dict because no
 two rule-b parents share a child.  A rule-b level is read off the
 children of the level above (``tiling.child_columns_b``), and a level
-summed alone comes as blocks of a depth-first walk, so its memory grows
-with depth, not with the level: ``tiling.child_blocks_b`` for float
-sums, and ``tiling.level_blocks_b``, in the level's own order, for
-exact ones.  ``classical_moment`` and ``classical_moment_sweep`` are
+summed alone, float or exact, comes as the blocks of the depth-first
+walk ``tiling.child_blocks_b``, so its memory grows with depth, not
+with the level.  ``classical_moment`` and ``classical_moment_sweep`` are
 ``moment`` and ``moment_sweep`` at ``algo="classical"``, which read the
 row walk ``tiling.classical_rows`` one depth at a time.  The depth-n
 row is a palindrome, so both sums read the left half's intervals alone,
@@ -57,7 +56,6 @@ from .tiling import (
     child_columns_b,
     classical_rows,
     face_count,
-    level_blocks_b,
     level_columns_b,
     level_q_counts,
     split_q_states,
@@ -71,7 +69,7 @@ EXACT_FACE_CAP = 100_000
 # distinct triples.  End to end, a/8 takes 0.4-0.6 s in 59 MiB; in
 # process, a/9 takes 2.5 s and 298 MiB, beyond the ~165 MiB budget.  Rule
 # b walks its last levels in blocks, in 16-17 MiB at any depth: b/22
-# takes 0.5-0.6 s, and b/23, b/24 and b/25 would take 1.0, 1.9 and 4.2 s,
+# takes 0.8-1.2 s, and b/23, b/24 and b/25 would take 1.5, 3.2 and 6.7 s,
 # but the cap is kept, so that no request refused so far is admitted.
 # Classical moments merge the left half's intervals:
 # 0.4-0.6 s at depth 20 end to end, in 18 MiB, doubling per level
@@ -95,8 +93,8 @@ MOMENT_DEPTH_CAP = {ALGO_A: 10, ALGO_B: 26, ALGO_CLASSICAL: 22}
 # e * bits(L) bits.  CPython converts ints of at most 4,300 digits (about
 # 14,284 bits) to text.  Within the cell cap bits(L) is at most 418 (a/6),
 # 169 (b/15) and 2,902 (classical/16), so the cap admits orders up to 33,
-# 82 and 4 there, which take 0.15, 0.20 and 0.31 s; classical/16 at order
-# 20 (17,470 digits) would take 2.1 s (2 CPUs, CPython 3.11).
+# 82 and 4 there, which take 0.27, 0.32 and 0.30 s end to end; classical/16
+# at order 20 (17,470 digits) would take 2.1 s (2 CPUs, CPython 3.11).
 EXACT_BITS_CAP = 14_000
 
 MAX_DEGREE = 8
@@ -220,9 +218,9 @@ def _levels(algo: str, first: int, n: int, start: Optional[LevelCounts] = None) 
     # is its dict level, whose children of different parents merge, and
     # a list of its measures is faster to sum than a generator.  Rule b
     # never merges two parents' children, so its last level is read
-    # straight off the children of level n-1 (``child_columns_b``), with
-    # no interleave, and a level summed alone comes as the blocks of
-    # ``child_blocks_b``, in memory bounded by depth: at order 2, b/26
+    # straight off the blocks of children of level n-1
+    # (``child_columns_b``), and a level summed alone comes as the blocks
+    # of ``child_blocks_b``, in memory bounded by depth: at order 2, b/26
     # sums in 2.8-3.4 s and 17 MiB end to end, where stepping it whole
     # took 3.7-5.1 s and 143 MiB.  A sweep holds its levels down to n-1
     # whole.
@@ -239,13 +237,8 @@ def _levels(algo: str, first: int, n: int, start: Optional[LevelCounts] = None) 
 
 
 def _level_at(algo: str, n: int) -> Iterable[Part]:
-    # Level n alone, in the level's own order, in which the pairwise exact
-    # sum merges the cells of each subtree first: in process, exact b/22
-    # at order 1 took 0.9 s in the order of child_blocks_b, and 0.5 s in
-    # this one.  A classical cell is an interval of measure 1/(qr),
+    # Level n alone.  A classical cell is an interval of measure 1/(qr),
     # between neighbouring endpoint denominators q and r.
-    if algo == ALGO_B:
-        return map(_cells_b, level_blocks_b(n))
     if algo == ALGO_CLASSICAL:
         weight, rows = _classical_rows_at(n)
         return ((map(operator.mul, row, row[1:]), repeat(weight)) for row in rows)

@@ -14,10 +14,11 @@ arithmetic.  ``level_q_counts`` keeps a level as a dict, since rule a
 merges the children of different parents.  Rule b never does: its
 triples stay ordered (Lemma 13), and an ordered triple has one ordered
 parent, so ``level_columns_b`` steps whole rule-b levels as parallel
-lists, with no dict, for the moments, and ``level_blocks_b`` and
-``child_blocks_b`` walk one deep level as blocks of those lists, depth
-first.  The dict engine stays the
-independent one that the verify checks read.  The classical partition
+lists, with no dict, for the moments, and ``child_blocks_b`` walks one
+deep level as blocks of those lists, depth first.  Both step by one
+rule, ``child_columns_b``, which puts a block's first children before
+its second children.  The dict engine stays the independent one that
+the verify checks read.  The classical partition
 has one walk, ``classical_rows``, which yields one depth as rows of
 endpoints, left to right, and which every classical enumeration reads.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, compress, pairwise
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
@@ -319,48 +320,39 @@ def _add_columns(x: List[int], y: List[int]) -> List[int]:
     return list(map(operator.add, x, y))
 
 
-def _interleave(first: List, second: List) -> List:
-    out = [0] * (2 * len(first))
-    out[::2] = first
-    out[1::2] = second
-    return out
+def child_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Tuple[Columns, ...]:
+    """The children of a block of rule-b states as blocks of columns:
+    the first children in parent order, then the second children of the
+    parents whose two children are not twins.
 
-
-def _children_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Tuple[Columns, Columns, Optional[List]]:
-    # (first children, second children, keep): every parent's two
-    # children as columns, parent by parent.  They differ only in their
-    # last entry, q against r, so a parent's twins (q == r) merge into its
-    # first child, with the count doubled; keep marks the second children
-    # that are not a twin's, and is None when all are.
+    A parent's children differ only in their last entry, q against r, so
+    a parent's twins (q == r) merge into its first child, with the count
+    doubled.  No block is longer than its parent block, and an empty one
+    is left out.
+    """
     first, second = child_vectors_b(P, Q, R, add=_add_columns)
     twins = list(map(operator.eq, Q, R))
     if not any(twins):
-        return (*first, C), (*second, C), None
-    doubled = list(map(operator.lshift, C, twins))
-    return (*first, doubled), (*second, C), list(map(operator.not_, twins))
-
-
-def _step_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Columns:
-    first, second, keep = _children_b(P, Q, R, C)
-    if keep is None:
-        return tuple(_interleave(x, y) for x, y in zip(first, second))
-    keep = _interleave([True] * len(C), keep)
-    return tuple(list(compress(_interleave(x, y), keep)) for x, y in zip(first, second))
+        return (*first, C), (*second, C)
+    keep = list(map(operator.not_, twins))
+    first = (*first, list(map(operator.lshift, C, twins)))
+    second = tuple(list(compress(col, keep)) for col in (*second, C))
+    return (first, second) if second[3] else (first,)
 
 
 def level_columns_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
-    """Rule-b levels for depth 0..n as columns (P, Q, R, C), item for
-    item and in order the ``level_q_counts("b", n, start)`` levels.
+    """Rule-b levels for depth 0..n as columns (P, Q, R, C), holding the
+    states and counts of the ``level_q_counts("b", n, start)`` levels.
 
     The rule keeps every triple ordered, p >= q >= r and q + r >= p
     (Lemma 13), and two ordered parents never share a child: a triple
     (x, y, z) is the first child of (y, z, x - z) or the second child
     of (y, x - z, z), and both parents are ordered only when they are
     one triple, with x - z == z.  So the one merge is a parent's own two
-    children when q == r, and a level needs no dict: each step maps the
-    rule over whole columns and interleaves the two children parent by
-    parent.  Children are ordered when their parent is, so only the
-    start triples are checked, before any work.
+    children when q == r, and a level needs no dict: each step joins the
+    blocks of ``child_columns_b`` on the whole level.  Children are
+    ordered when their parent is, so only the start triples are checked,
+    before any work.
     """
     level = {(1, 1, 1): 2} if start is None else start
     for p, q, r in level:
@@ -369,27 +361,11 @@ def level_columns_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Col
     cols = (*map(list, zip(*level)), list(level.values()))
     yield cols
     for _ in range(n):
-        cols = _step_columns_b(*cols)
+        cols = tuple(reduce(operator.add, col) for col in zip(*child_columns_b(*cols)))
         yield cols
 
 
-def child_columns_b(P: List[int], Q: List[int], R: List[int], C: List[int]) -> Tuple[Columns, ...]:
-    """The children of a block of rule-b states as blocks of columns:
-    the first children, then the second children of the parents whose
-    two children are not twins (a twin's first child carries count 2c).
-
-    Together they hold the states of ``_step_columns_b`` on the block,
-    counts included, without its interleave; no block is longer than
-    its parent block, and an empty one is left out.
-    """
-    first, second, keep = _children_b(P, Q, R, C)
-    if keep is None:
-        return first, second
-    second = tuple(list(compress(col, keep)) for col in second)
-    return (first, second) if second[0] else (first,)
-
-
-# The block walks start below the first level larger than this many
+# The block walk starts below the first level larger than this many
 # states, in blocks of this many states.
 _BLOCK = 1024
 
@@ -399,34 +375,20 @@ def _blocks(cols: Columns) -> List[Columns]:
     return [tuple(col[i : i + _BLOCK] for col in cols) for i in range(0, len(cols[3]), _BLOCK)]
 
 
-def _walk_b(n: int, start: Optional[LevelCounts], kids: Callable[..., Sequence]) -> Iterator[Columns]:
-    # Whole levels are stepped until one holds more than _BLOCK states;
-    # that level is cut into blocks, and each block is walked depth first
-    # through kids, which never gives a block of more than _BLOCK states.
-    # The walk holds two blocks per level below the cut, so its memory
-    # grows with depth, not with the level.
+def child_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
+    """The states and counts of the last ``level_columns_b(n, start)``
+    level as blocks of at most ``_BLOCK`` states, in bounded memory.
+
+    Whole levels are stepped until one holds more than ``_BLOCK``
+    states; that level is cut into blocks, and each block is walked
+    depth first through ``child_columns_b``, which never gives a block
+    longer than its parent.  The walk holds two blocks per level below
+    the cut, so its memory grows with depth, not with the level.
+    """
     for d, cols in enumerate(level_columns_b(n, start)):
         if d == n or len(cols[3]) > _BLOCK:
             break
-    return leaves(_blocks(cols), kids, n - d)
-
-
-def level_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
-    """The last ``level_columns_b(n, start)`` level, item for item and in
-    order, as blocks of at most ``_BLOCK`` states, in bounded memory.
-
-    Each block is stepped by the level step and cut again, so each
-    subtree's states stay together: the order in which a pairwise exact
-    sum merges the cells that share factors first.
-    """
-    return _walk_b(n, start, lambda *block: _blocks(_step_columns_b(*block)))
-
-
-def child_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:
-    """The states and counts of ``level_blocks_b(n, start)`` in another
-    order, for sums that do not depend on it: each block's children are
-    the blocks of ``child_columns_b``, with no interleave."""
-    return _walk_b(n, start, child_columns_b)
+    return leaves(_blocks(cols), child_columns_b, n - d)
 
 
 CodedState = Tuple[int, int, int, int, bool]

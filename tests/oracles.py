@@ -26,8 +26,7 @@
 * ``moment_sweeps_by_dicts`` and ``exact_moment_by_dicts``: 2-d moments
   summed over the dict levels of ``tiling.level_q_counts``, the oracle
   for the rule-b column engine ``tiling.level_columns_b``, its block
-  walks ``level_blocks_b`` and ``child_blocks_b``, and the moments that
-  read them.
+  walk ``child_blocks_b``, and the moments that read them.
 """
 
 from __future__ import annotations

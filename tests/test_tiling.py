@@ -1,8 +1,7 @@
-import operator
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, pairwise
 from math import gcd
 
 import pytest
@@ -98,41 +97,47 @@ def test_level_counts_match_geometry(algo, n):
     assert sum(level.values()) == face_count(algo, n)
 
 
-def _same_level(cols, level):
-    P, Q, R, C = cols
-    return len(C) == len(level) and all(map(operator.eq, zip(zip(P, Q, R), C), level.items()))
+def _cells(blocks):
+    return [(state, c) for P, Q, R, C in blocks for state, c in zip(zip(P, Q, R), C)]
+
+
+def _holds(blocks, level):
+    # the blocks hold the dict level's states and counts, each state once
+    cells = _cells(blocks)
+    return len(cells) == len(level) and dict(cells) == level
 
 
 def test_columns_equal_the_dict_levels():
-    # item for item and in order, from the root and from every task start
-    # of the rule-b moment sweep, to depth 22
+    # from the root to depth 22, and from every task start of the rule-b
+    # moment sweep to depth 16
     for d, (cols, level) in enumerate(zip(level_columns_b(22), level_q_counts("b", 22))):
-        assert _same_level(cols, level), d
+        assert _holds([cols], level), d
     for triple, count in split_q_states("b", 6):
         start = {triple: count}
         pairs = zip(level_columns_b(16, start), level_q_counts("b", 16, start))
         for d, (cols, level) in enumerate(pairs):
-            assert _same_level(cols, level), (triple, d)
+            assert _holds([cols], level), (triple, d)
+    # A level is its parents' first children in parent order, then the
+    # second children of the parents without twins; a twin's first child
+    # carries its count doubled.
+    for d, (parents, cols) in enumerate(pairwise(level_columns_b(14)), 1):
+        first = [((q + r, p, q), c << (q == r)) for p, q, r, c in zip(*parents)]
+        second = [((q + r, p, r), c) for p, q, r, c in zip(*parents) if q != r]
+        assert _cells([cols]) == first + second, d
 
 
 @pytest.mark.parametrize("block", [1, 3, 1024])
 def test_blocks_hold_the_dict_levels(block, monkeypatch):
-    # level_blocks_b joins into the dict level item for item and in order,
-    # child_blocks_b holds the same states and counts in another order,
-    # and no block is empty or outgrows the block size; from the root and
-    # from every task start of the rule-b moment sweep.
+    # child_blocks_b joins into the dict level's states and counts, and no
+    # block is empty or outgrows the block size; from the root and from
+    # every task start of the rule-b moment sweep.
     monkeypatch.setattr(tiling, "_BLOCK", block)
     starts = [None] + [{t: c} for t, c in split_q_states("b", 6)]
     for start in starts:
         for n, level in enumerate(level_q_counts("b", 12, start)):
-            position = {state: i for i, state in enumerate(level)}
-            for walk in (tiling.level_blocks_b, tiling.child_blocks_b):
-                blocks = list(walk(n, start))
-                assert all(0 < len(C) <= block for *_, C in blocks)
-                cells = [(state, c) for P, Q, R, C in blocks for state, c in zip(zip(P, Q, R), C)]
-                if walk is tiling.child_blocks_b:
-                    cells.sort(key=lambda cell: position[cell[0]])
-                assert cells == list(level.items()), (start, n, walk)
+            blocks = list(tiling.child_blocks_b(n, start))
+            assert all(0 < len(C) <= block for *_, C in blocks), (start, n)
+            assert _holds(blocks, level), (start, n)
 
 
 @pytest.mark.parametrize(
