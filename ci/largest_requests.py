@@ -61,10 +61,23 @@ REQUESTS = [
     "census --algo a --depth 6 --jobs 2",
     "census --algo b --depth 17",
     "census --algo b --depth 17 --jobs 2",
-    # the Dirichlet head at qmax 1024, the largest-memory request admitted
+    # the largest rule-a Dirichlet head CENTER_STATE_CAP admits, at qmax 1024
     "dirichlet --algo a --beta 6 --qmax 1024",
-    # the deepest rule-a render
+    # the largest sieve SIEVE_QMAX_CAP admits, at a non-integer order, since
+    # EXACT_HEAD_CAP refuses an integer one there
+    "dirichlet --algo b --beta 11/2 --qmax 65536",
+    # the largest exact head EXACT_HEAD_CAP admits: order * qmax = 65536
+    "dirichlet --algo b --beta 64 --qmax 1024",
+    # the totient oracle of the classical series, at the sieve cap
+    "dirichlet --algo classical --beta 4 --qmax 65536",
+    # the deepest descents LOCATE_DEPTH_CAP admits, the largest-memory
+    # requests admitted
+    "locate --algo a --depth 65536 --point 3/7,2/9",
+    "locate --algo b --depth 65536 --point 13/31,5/37",
+    # the deepest renders RENDER_DEPTH_CAP admits
     "render --algo a --depth 6 --out {out}/til_a6.svg",
+    "render --algo b --depth 16 --out {out}/til_b16.svg",
+    "render --algo classical --depth 16 --labels --out {out}/til_classical16.svg",
 ]
 
 

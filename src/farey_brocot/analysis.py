@@ -14,19 +14,19 @@ twice, and can sit one ulp from the correctly rounded sum.  The
 classical moment is one ``fsum`` per depth, correctly rounded at every
 depth.  A float moment at one depth, or from one depth on, sums only
 the depths it returns: the shallower levels are stepped, since the
-deeper ones grow from them, but not reduced.  Each depth's sum reads no other depth's, so it has the bits
-of the same depth in the full sweep.  2-d moments read each level's
-cell measures and counts: rule a's from the dicts of
-``tiling.level_q_counts``, which must merge the children of different
-parents, and rule b's from column lists, which need no dict because no
-two rule-b parents share a child.  A rule-b level is read off the
-children of the level above (``tiling.child_columns_b``), and a level
-summed alone, float or exact, comes as the blocks of the depth-first
-walk ``tiling.child_blocks_b``, so its memory grows with depth, not
-with the level.  ``classical_moment`` and ``classical_moment_sweep`` are
-``moment`` and ``moment_sweep`` at ``algo="classical"``, which read the
-row walk ``tiling.classical_rows`` one depth at a time.  The depth-n
-row is a palindrome, so both sums read the left half's intervals alone,
+deeper ones grow from them, but not reduced.  Each depth's sum reads
+no other depth's, so it has the bits of the same depth in the full
+sweep.  2-d moments read each level's cell measures and counts: rule
+a's from the dicts of ``tiling.level_q_counts``, which must merge the
+children of different parents, and rule b's from column lists, which
+need no dict because no two rule-b parents share a child.  Every rule-b
+level, float or exact, alone or in a sweep, comes as the blocks of its
+own depth-first walk ``tiling.child_blocks_b``, so its memory grows
+with depth, not with the level; a sweep walks each of its depths anew.
+``classical_moment`` and ``classical_moment_sweep`` are ``moment`` and
+``moment_sweep`` at ``algo="classical"``, which read the row walk
+``tiling.classical_rows`` one depth at a time.  The depth-n row is a
+palindrome, so both sums read the left half's intervals alone,
 each counted twice: a doubled float term is exact, so the ``fsum`` is
 the correctly rounded sum of the whole row's terms.  Dirichlet heads
 read the per-denominator degree counts of ``census.degree_counts``.
@@ -53,10 +53,8 @@ from .tiling import (
     LevelCounts,
     QTriple,
     child_blocks_b,
-    child_columns_b,
     classical_rows,
     face_count,
-    level_columns_b,
     level_q_counts,
     split_q_states,
 )
@@ -78,9 +76,10 @@ EXACT_UNIT_CAP = {ALGO_A: 2**23, ALGO_B: 2**23, ALGO_CLASSICAL: 2**20}
 # Float moments, end to end (3-6 runs, 2 CPUs, CPython 3.11): a/10 at
 # order 2 takes 7.4-8.9 s in 82 MiB.  A moment sums its own depth alone:
 # b/26 takes 2.8-3.4 s in 17 MiB, walking its last levels in blocks, and
-# asym's sweep from depth 2 to 26, which holds each task's levels to
-# depth 25 whole, 5.5-6.9 s in 78 MiB, within the Dirichlet heads' ~7 s
-# and 165 MiB budget.  A classical moment sums the 2^(n-1) intervals of
+# asym's sweep from depth 2 to 26, which walks each depth's blocks too,
+# 6.5-8.7 s in 16 MiB (7 runs on a loaded host, where holding whole
+# levels took 6.1-8.9 s and 77 MiB), about the Dirichlet heads' ~7 s
+# budget.  A classical moment sums the 2^(n-1) intervals of
 # its row's left half, each counted twice, 0.5-0.8 s at depth 22 in
 # 17 MiB; asym's sweep from depth 2 walks each depth's half row anew,
 # about doubling per level, 1.1-1.8 s at depth 22.  Depth 23 would fit
@@ -217,23 +216,19 @@ def _levels(algo: str, first: int, n: int, start: Optional[LevelCounts] = None) 
     # levels below first are stepped, not yielded.  Rule a's one part
     # is its dict level, whose children of different parents merge, and
     # a list of its measures is faster to sum than a generator.  Rule b
-    # never merges two parents' children, so its last level is read
-    # straight off the blocks of children of level n-1
-    # (``child_columns_b``), and a level summed alone comes as the blocks
-    # of ``child_blocks_b``, in memory bounded by depth: at order 2, b/26
-    # sums in 2.8-3.4 s and 17 MiB end to end, where stepping it whole
-    # took 3.7-5.1 s and 143 MiB.  A sweep holds its levels down to n-1
-    # whole.
+    # never merges two parents' children, so each level comes as the
+    # blocks of its own walk ``child_blocks_b``, in memory bounded by
+    # depth: at order 2, b/26 sums in 2.8-3.4 s and 17 MiB end to end,
+    # where stepping it whole took 3.7-5.1 s and 143 MiB.  Each depth's
+    # walk steps the shallower levels again, so a sweep takes longer
+    # than one walk of whole levels would: about 10 % at depths 2 to 22
+    # and order 3/2 in process, and 0.8 against 1.7 ms at b/12.
     if algo != ALGO_B:
         for level in islice(level_q_counts(algo, n, start), first, None):
             yield [([2 * p * q * r for p, q, r in level], level.values())]
-    elif first == n:
-        yield map(_cells_b, child_blocks_b(n, start))
     else:
-        for d, cols in enumerate(level_columns_b(n - 1, start)):
-            if d >= first:
-                yield [_cells_b(cols)]
-        yield map(_cells_b, child_columns_b(*cols))
+        for d in range(first, n + 1):
+            yield map(_cells_b, child_blocks_b(d, start))
 
 
 def _level_at(algo: str, n: int) -> Iterable[Part]:

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tu
 
 from .core import CapacityError, InvalidInputError, InvariantViolationError, Vec
 from .subdivision import ALGO_A, ALGO_B, child_rule, child_vectors_a, initial_vectors, min_new_denominator
-from .tiling import RawBasis, _step, descend, face_count, iter_bases_at, leaves
+from .tiling import RawBasis, _dict_blocks, _step, descend, face_count, iter_bases_at, leaves
 
 # Medians of nine CLI runs each at --jobs 1 and 2 (2 CPUs, CPython 3.11):
 # a/6 takes 0.28-0.30 s and 35 MiB, b/17 0.84-0.85 s and 78 MiB.  The peak
@@ -334,9 +334,11 @@ def stable_degree_table(algo: str, qmax: int) -> Dict[Vec, int]:
 
 # --- degree counts per denominator ------------------------------------------
 
-# Rule a's center descent visits about qmax^3 / 360 triple states.
-# Measured (2 CPUs, CPython 3.11): 47,736 states in 0.10 s at qmax 256,
-# 373,730 in 0.82 s at 512, 2,940,705 in 6.8 s and 165 MiB peak at 1024.
+# Rule a's center descent visits about qmax^3 / 360 triple states; its
+# blocks merge duplicates only within a block, which adds 1-4 %.
+# Measured in process (2 CPUs, CPython 3.11): 48,334 states in 0.07 s at
+# qmax 256, 383,932 in 0.65 s at 512, 3,059,653 in 6.1 s at 1024, where
+# the Dirichlet head takes 4.8-6.6 s and 27 MiB peak end to end.
 CENTER_STATE_CAP = 3_000_000
 # Rule b needs only the totient sieve, linear in qmax: counts for qmax
 # 65536 take 0.17 s and 45 MiB.
@@ -381,16 +383,21 @@ def _center_counts(qmax: int) -> List[int]:
     # N_c(q): rule-a triangles of every depth, with multiplicity, whose
     # denominators sum to q.  A child's sum exceeds its parent's, so a
     # triple past qmax and everything below it can be dropped.
+    # The triples are walked depth first, in blocks: a block's children
+    # merge within the block, so the walk holds a few blocks per depth,
+    # not a whole level.
     counts = [0] * (qmax + 1)
 
     def expand(p: int, q: int, r: int) -> List[Tuple[int, int, int]]:
         return [t for t in child_vectors_a(p, q, r, operator.add) if t[0] + t[1] + t[2] <= qmax]
 
-    level = {(1, 1, 1): 2} if qmax >= 3 else {}
-    while level:
-        for (p, q, r), c in level.items():
+    def expand_block(block: Dict[Tuple[int, int, int], int], _depth: int) -> List[Dict]:
+        for (p, q, r), c in block.items():
             counts[p + q + r] += c
-        level = _step(level, expand)
+        return _dict_blocks(_step(block, expand))
+
+    for _ in descend(_dict_blocks({(1, 1, 1): 2} if qmax >= 3 else {}), expand_block):
+        pass
     return counts
 
 

@@ -14,11 +14,12 @@ arithmetic.  ``level_q_counts`` keeps a level as a dict, since rule a
 merges the children of different parents.  Rule b never does: its
 triples stay ordered (Lemma 13), and an ordered triple has one ordered
 parent, so ``level_columns_b`` steps whole rule-b levels as parallel
-lists, with no dict, for the moments, and ``child_blocks_b`` walks one
-deep level as blocks of those lists, depth first.  Both step by one
-rule, ``child_columns_b``, which puts a block's first children before
-its second children.  The dict engine stays the independent one that
-the verify checks read.  The classical partition
+lists, with no dict, and ``child_blocks_b`` walks one deep level as
+blocks of those lists, depth first, below the first level larger than a
+block; every rule-b moment reads its levels from ``child_blocks_b``.
+Both step by one rule, ``child_columns_b``, which puts a block's first
+children before its second children.  The dict engine stays the
+independent one that the verify checks read.  The classical partition
 has one walk, ``classical_rows``, which yields one depth as rows of
 endpoints, left to right, and which every classical enumeration reads.
 """
@@ -373,6 +374,12 @@ _BLOCK = 1024
 def _blocks(cols: Columns) -> List[Columns]:
     # cols cut into blocks of _BLOCK states, in order
     return [tuple(col[i : i + _BLOCK] for col in cols) for i in range(0, len(cols[3]), _BLOCK)]
+
+
+def _dict_blocks(level: Dict) -> List[Dict]:
+    # a dict level cut into dicts of _BLOCK states, in order
+    items = list(level.items())
+    return [dict(items[i : i + _BLOCK]) for i in range(0, len(items), _BLOCK)]
 
 
 def child_blocks_b(n: int, start: Optional[LevelCounts] = None) -> Iterator[Columns]:

@@ -24,9 +24,13 @@
   their ``fsum`` per depth, the oracle for the half-row sums of
   ``analysis.classical_moment_sweep``.
 * ``moment_sweeps_by_dicts`` and ``exact_moment_by_dicts``: 2-d moments
-  summed over the dict levels of ``tiling.level_q_counts``, the oracle
+  summed over whole dict levels of ``tiling.level_q_counts``, the oracle
   for the rule-b column engine ``tiling.level_columns_b``, its block
-  walk ``child_blocks_b``, and the moments that read them.
+  walk ``child_blocks_b``, and the moments and sweeps that read each
+  depth off that walk.
+* ``center_counts_by_levels``: rule-a triangles counted by denominator
+  sum over whole dict levels, the oracle for the depth-first block walk
+  of ``census._center_counts``.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from farey_brocot.analysis import exact_sum
 from farey_brocot.census import graph_at, split_degrees
 from farey_brocot.core import InvalidInputError, Point, Triangle, Vec
 from farey_brocot.subdivision import ALGO_A, ALGO_B, child_vectors_a
-from farey_brocot.tiling import LevelCounts, descend, level_q_counts, split_q_states
+from farey_brocot.tiling import LevelCounts, _step, descend, level_q_counts, split_q_states
 
 
 # --- rational geometry -----------------------------------------------------
@@ -295,3 +299,23 @@ def exact_moment_by_dicts(algo: str, n: int, e: int) -> Fraction:
     for level in level_q_counts(algo, n):
         pass
     return exact_sum((c, (2 * p * q * r) ** e) for (p, q, r), c in level.items())
+
+
+# --- rule-a centers -----------------------------------------------------------
+
+
+def center_counts_by_levels(qmax: int) -> List[int]:
+    """N_c(q) for q = 0..qmax: rule-a triangles of every depth, with
+    multiplicity, counted by denominator sum, stepping whole dict levels
+    pruned past qmax."""
+    counts = [0] * (qmax + 1)
+
+    def expand(p: int, q: int, r: int) -> List[Tuple[int, int, int]]:
+        return [t for t in child_vectors_a(p, q, r, operator.add) if t[0] + t[1] + t[2] <= qmax]
+
+    level = {(1, 1, 1): 2} if qmax >= 3 else {}
+    while level:
+        for (p, q, r), c in level.items():
+            counts[p + q + r] += c
+        level = _step(level, expand)
+    return counts

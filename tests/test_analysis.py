@@ -252,10 +252,12 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_one_depth_rule_b_moment_memory_is_bounded():
+@pytest.mark.parametrize("fn", [moment, moment_sweep], ids=["moment", "sweep"])
+def test_one_depth_rule_b_moment_memory_is_bounded(fn):
     # Each level doubles, so stepping whole levels would need about 4x the
-    # memory two levels deeper; the block walk's grows with depth alone.
-    assert _traced_peak(moment, "b", 22, 2) < 2 * _traced_peak(moment, "b", 20, 2)
+    # memory two levels deeper; the block walk's grows with depth alone,
+    # and a sweep walks each of its depths that way.
+    assert _traced_peak(fn, "b", 22, 2) < 2 * _traced_peak(fn, "b", 20, 2)
 
 
 @pytest.mark.parametrize("block", [1, 3, tiling._BLOCK])

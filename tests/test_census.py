@@ -8,11 +8,13 @@ from math import gcd
 
 import pytest
 
+import farey_brocot.tiling as tiling
 from farey_brocot._jobs import run_tasks
 from farey_brocot.core import CapacityError, InvalidInputError, InvariantViolationError
 from farey_brocot.subdivision import child_rule
 from farey_brocot.census import (
     _SYMMETRIES,
+    _center_counts,
     _graph_task,
     _image,
     _orbit_plan,
@@ -29,7 +31,7 @@ from farey_brocot.census import (
 )
 from farey_brocot.tiling import vertices_up_to
 
-from oracles import graph_degrees, nodes_by_descent, stable_degrees
+from oracles import center_counts_by_levels, graph_degrees, nodes_by_descent, stable_degrees
 
 
 def test_census_a_spot_values():
@@ -259,6 +261,30 @@ def test_degree_counts_match_the_table(algo):
     for v, d in stable_degree_table(algo, qmax).items():
         expected[v[0]][d] += 1
     assert degree_counts(algo, qmax) == [dict(c) for c in expected]
+
+
+@pytest.mark.parametrize("block,large", [(1, ()), (3, ()), (tiling._BLOCK, (300, 512))], ids=["1", "3", "default"])
+def test_center_counts_equal_the_level_walk(block, large, monkeypatch):
+    # Blocks of 1 and 3 states split every level from the root's children
+    # on; the counts must not depend on which duplicate triples merge.
+    monkeypatch.setattr(tiling, "_BLOCK", block)
+    for qmax in (1, 2, 3, 4, 80, *large):
+        assert _center_counts(qmax) == center_counts_by_levels(qmax), qmax
+
+
+def test_center_count_memory_is_bounded():
+    # The pruned levels grow about 8x from qmax 256 to 512, and a level
+    # walk's traced peak with them (1.7 to 13.7 MiB); the block walk's
+    # grows with depth.
+    peaks = []
+    for qmax in (256, 512):
+        tracemalloc.start()
+        try:
+            _center_counts(qmax)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 * peaks[0]
 
 
 def test_totients_count_residues():
